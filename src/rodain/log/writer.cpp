@@ -253,13 +253,19 @@ void LogWriter::configure_ack_timeout(const Clock* clock, Duration timeout,
   on_ack_timeout_ = std::move(on_timeout);
 }
 
-bool LogWriter::check_ack_timeouts() {
+std::optional<TimePoint> LogWriter::ack_deadline() const {
   if (mode() != LogMode::kMirror || pending_.empty() || !clock_ ||
       !ack_timeout_.is_positive()) {
-    return false;
+    return std::nullopt;
   }
-  const Pending& oldest = pending_.begin()->second;
-  if (clock_->now() - oldest.shipped_at <= ack_timeout_) return false;
+  // The timeout fires once the shipment is strictly older than it.
+  return pending_.begin()->second.shipped_at + ack_timeout_ +
+         Duration::micros(1);
+}
+
+bool LogWriter::check_ack_timeouts() {
+  const std::optional<TimePoint> deadline = ack_deadline();
+  if (!deadline || clock_->now() < *deadline) return false;
   ++counters_.ack_timeouts;
   wm().ack_timeouts.inc();
   RODAIN_WARN("log writer: commit ack timeout (%zu pending, oldest seq %llu)",

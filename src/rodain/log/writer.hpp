@@ -120,6 +120,11 @@ class LogWriter {
   /// fired this call.
   bool check_ack_timeouts();
 
+  /// The earliest time check_ack_timeouts() can fire: the oldest
+  /// unacknowledged shipment's time plus the timeout. Nullopt while it
+  /// cannot fire (no shipment pending, not kMirror, or no timeout armed).
+  [[nodiscard]] std::optional<TimePoint> ack_deadline() const;
+
   /// Enable group commit. `schedule_flush(d)` asks the host runtime to call
   /// flush_batch() after `d`; a stale callback (the batch already drained)
   /// is harmless — flush_batch() re-arms or no-ops as needed. Pass an empty

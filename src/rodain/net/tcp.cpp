@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -107,20 +109,39 @@ Status TcpChannel::send(std::vector<std::byte> frame) {
   header.put_u32(crc32c(frame));
 
   std::lock_guard lock(write_mutex_);
-  const auto send_all = [this](const std::byte* p, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
-      if (w <= 0) {
-        if (w < 0 && errno == EINTR) continue;
-        return false;
-      }
-      p += w;
-      n -= static_cast<std::size_t>(w);
+  // Header and payload leave in one sendmsg: with TCP_NODELAY, two send()
+  // calls go out as two segments and can wake the peer's reader twice.
+  iovec iov[2] = {
+      {const_cast<std::byte*>(header.view().data()), header.view().size()},
+      {frame.data(), frame.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  std::size_t left = header.view().size() + frame.size();
+  bool sent = true;
+  while (left > 0) {
+    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (w <= 0) {
+      if (w < 0 && errno == EINTR) continue;
+      sent = false;
+      break;
     }
-    return true;
-  };
-  if (!send_all(header.view().data(), header.view().size()) ||
-      !send_all(frame.data(), frame.size())) {
+    // Partial write: skip the iovecs (and the part of one) already sent.
+    auto n = static_cast<std::size_t>(w);
+    left -= n;
+    while (n > 0) {
+      iovec& head = *msg.msg_iov;
+      const std::size_t take = std::min(n, head.iov_len);
+      head.iov_base = static_cast<std::byte*>(head.iov_base) + take;
+      head.iov_len -= take;
+      n -= take;
+      if (head.iov_len == 0) {
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+    }
+  }
+  if (!sent) {
     // Do NOT invoke the disconnect handler from here: send() is routinely
     // called under higher-level locks the handler needs (self-deadlock).
     // Flag the channel and wake the reader thread, which delivers the

@@ -71,12 +71,7 @@ void ApplyPool::worker_loop() {
     const std::size_t end = wave_end_;
     lock.unlock();
     std::size_t done = 0;
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      (*fn)((*epoch)[i]);
-      ++done;
-    }
+    for (std::size_t i = 0; claim(seen, end, i); ++done) (*fn)((*epoch)[i]);
     if (done > 0) {
       applied_.fetch_add(done, std::memory_order_acq_rel);
       // Empty critical section: a coordinator between its predicate check
@@ -98,29 +93,38 @@ void ApplyPool::run_wave(const std::vector<log::ReleasedTxn>& epoch,
     for (std::size_t i = begin; i < end; ++i) fn(epoch[i]);
     return;
   }
+  std::uint64_t generation = 0;
   {
     std::lock_guard lock(mu_);
     epoch_ = &epoch;
     fn_ = &fn;
     wave_end_ = end;
-    next_.store(begin, std::memory_order_relaxed);
     applied_.store(0, std::memory_order_relaxed);
-    ++generation_;
+    generation = ++generation_;
+    cursor_.store((generation << 32) | begin, std::memory_order_relaxed);
   }
   work_cv_.notify_all();
   // The caller is a pool member: claim from the same cursor.
   std::size_t done = 0;
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= end) break;
-    fn(epoch[i]);
-    ++done;
-  }
+  for (std::size_t i = 0; claim(generation, end, i); ++done) fn(epoch[i]);
   if (done > 0) applied_.fetch_add(done, std::memory_order_acq_rel);
   std::unique_lock lock(mu_);
   done_cv_.wait(lock, [&] {
     return applied_.load(std::memory_order_acquire) == n;
   });
+}
+
+bool ApplyPool::claim(std::uint64_t generation, std::size_t end,
+                      std::size_t& index) {
+  const std::uint64_t tag = generation << 32;
+  std::uint64_t c = cursor_.load(std::memory_order_relaxed);
+  while ((c & ~0xffffffffULL) == tag && (c & 0xffffffffULL) < end) {
+    if (cursor_.compare_exchange_weak(c, c + 1, std::memory_order_relaxed)) {
+      index = static_cast<std::size_t>(c & 0xffffffffULL);
+      return true;
+    }
+  }
+  return false;
 }
 
 void ApplyPool::apply(const std::vector<log::ReleasedTxn>& epoch,

@@ -89,6 +89,9 @@ class ApplyPool {
   /// from the calling thread and barriers before returning.
   void run_wave(const std::vector<log::ReleasedTxn>& epoch, std::size_t begin,
                 std::size_t end, const ApplyFn& fn);
+  /// Claim the next index of wave `generation` below `end` into `index`.
+  /// False once that wave is drained or a later one has replaced it.
+  bool claim(std::uint64_t generation, std::size_t end, std::size_t& index);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -98,7 +101,11 @@ class ApplyPool {
   const ApplyFn* fn_{nullptr};
   std::size_t wave_end_{0};
   std::uint64_t generation_{0};
-  std::atomic<std::size_t> next_{0};
+  /// Claim cursor: the wave's generation in the high 32 bits, its next
+  /// index in the low 32. Claiming checks both in one CAS, so a worker that
+  /// read a wave under mu_ and ran late can never take an index of a later
+  /// wave (which would strand that wave's barrier, or apply a freed epoch).
+  std::atomic<std::uint64_t> cursor_{0};
   std::atomic<std::size_t> applied_{0};
   bool stop_{false};
 

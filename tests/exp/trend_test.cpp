@@ -3,6 +3,7 @@
 #include "rodain/exp/trend.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -179,7 +180,11 @@ TEST(TrendCompare, UngatedFieldsAreIgnored) {
 class TrendDirsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() / "rodain_trend_test";
+    // Unique per process and case: ctest -j runs each case in its own
+    // process, and a shared directory would race.
+    root_ = std::filesystem::temp_directory_path() /
+            ("rodain_trend_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(root_);
     base_ = root_ / "baseline";
     cur_ = root_ / "current";

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <set>
@@ -11,6 +12,16 @@ namespace rodain::workload {
 namespace {
 
 using namespace rodain::literals;
+
+/// A temp file unique to this process and test case: ctest -j runs each
+/// case in its own process, and a shared name would race.
+std::string unique_temp_path(const std::string& stem) {
+  return (std::filesystem::temp_directory_path() /
+          (stem + "_" + std::to_string(::getpid()) + "_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".bin"))
+      .string();
+}
 
 TEST(NumberTranslation, LoadDatabasePopulatesStoreAndIndex) {
   DatabaseConfig config;
@@ -141,8 +152,7 @@ TEST(Trace, GenerationIsDeterministicInSeed) {
 }
 
 TEST(Trace, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rodain_trace_test.bin").string();
+  const std::string path = unique_temp_path("rodain_trace");
   DatabaseConfig db;
   db.num_objects = 200;
   Trace original = Trace::generate(db, PaperSetup::workload(0.7), 150.0, 300, 3);
@@ -162,8 +172,7 @@ TEST(Trace, FileRoundTrip) {
 }
 
 TEST(Trace, CorruptFileRejected) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rodain_trace_bad.bin").string();
+  const std::string path = unique_temp_path("rodain_trace");
   DatabaseConfig db;
   db.num_objects = 100;
   Trace t = Trace::generate(db, PaperSetup::workload(0.5), 100.0, 50, 1);
