@@ -175,6 +175,10 @@ std::uint64_t SimDiskLogStorage::truncate_upto(ValidationTs boundary) {
   return cut;
 }
 
+void SimDiskLogStorage::crash() {
+  for (FlushReq& req : queue_) req.callbacks.clear();
+}
+
 void SimDiskLogStorage::start_next() {
   if (device_busy_ || queue_.empty()) return;
   device_busy_ = true;

@@ -136,6 +136,10 @@ class SimDiskLogStorage final : public LogStorage {
   /// Records appended but not yet durable — the data-loss window of claim C5.
   [[nodiscard]] Lsn backlog() const { return appended_ - durable_; }
   [[nodiscard]] Duration total_busy() const { return busy_; }
+  /// The host crashed: queued flush operations still reach the platter,
+  /// but their completions are dropped — the process waiting for them is
+  /// gone, and its callbacks point into it.
+  void crash();
   /// Records trimmed away by checkpoint-coordinated truncation so far.
   [[nodiscard]] Lsn truncated() const { return truncated_; }
 

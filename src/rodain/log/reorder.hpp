@@ -110,10 +110,17 @@ class Reorderer {
 
   /// Suspend releases while a snapshot installs (mirror join): complete
   /// transactions keep staging in seq order, but nothing is applied to the
-  /// store the snapshot is about to replace. set_expected_next() resumes —
-  /// it moves the floor to the snapshot boundary, purges what the snapshot
-  /// covers, and cascades whatever staged above it.
-  void hold_releases() { holding_ = true; }
+  /// store the snapshot is about to replace. The floor drops to the start
+  /// of the stream: the snapshot's boundary is not known yet and may lie
+  /// below what this reorderer already released (a mirror rejoining a
+  /// primary that serves an older checkpoint), and the catch-up above it
+  /// must stage instead of being dropped as stale. set_expected_next()
+  /// resumes — it moves the floor to the snapshot boundary, purges what
+  /// the snapshot covers, and cascades whatever staged above it.
+  void hold_releases() {
+    holding_ = true;
+    expected_ = 1;
+  }
   [[nodiscard]] bool holding() const { return holding_; }
 
   /// Drop transactions that never received a commit record — on primary

@@ -76,7 +76,7 @@ void LogWriter::submit(ValidationTs seq, std::vector<Record> records,
                        std::function<void()> on_durable,
                        obs::StageClock* stages) {
   tail_[seq] = records;
-  while (tail_.size() > kTailRetention) tail_.erase(tail_.begin());
+  trim_tail();
   switch (mode()) {
     case LogMode::kOff:
       ++counters_.via_none;
@@ -244,6 +244,29 @@ std::vector<Record> LogWriter::tail_since(ValidationTs seq) const {
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
   return out;
+}
+
+void LogWriter::pin_tail(ValidationTs seq) {
+  tail_pin_ = seq;
+  trim_tail();
+}
+
+void LogWriter::unpin_tail() {
+  tail_pin_.reset();
+  trim_tail();
+}
+
+void LogWriter::trim_tail() {
+  if (tail_pin_ && tail_.size() > kMaxPinnedTail) {
+    RODAIN_WARN("log writer: tail pin above seq %llu dropped at %zu "
+                "transactions",
+                static_cast<unsigned long long>(*tail_pin_), tail_.size());
+    tail_pin_.reset();
+  }
+  while (tail_.size() > kTailRetention &&
+         (!tail_pin_ || tail_.begin()->first <= *tail_pin_)) {
+    tail_.erase(tail_.begin());
+  }
 }
 
 void LogWriter::configure_ack_timeout(const Clock* clock, Duration timeout,

@@ -161,6 +161,21 @@ class LogWriter {
   [[nodiscard]] std::vector<Record> tail_since(ValidationTs seq) const;
   static constexpr std::size_t kTailRetention = 4096;
 
+  /// Keep every tail entry with seq > `seq` until unpin_tail(): a served
+  /// joiner installs while this writer still logs to disk, and the switch
+  /// to kMirror ships what committed meanwhile (DESIGN.md §12). Eviction
+  /// past kTailRetention then takes only entries at or below the pin. The
+  /// pin is bounded: a tail that would grow past kMaxPinnedTail drops it,
+  /// and the join that set it has to start over.
+  void pin_tail(ValidationTs seq);
+  void unpin_tail();
+  /// The pinned floor; nullopt when no pin is held (never set, released,
+  /// or dropped at the bound).
+  [[nodiscard]] std::optional<ValidationTs> tail_pin() const {
+    return tail_pin_;
+  }
+  static constexpr std::size_t kMaxPinnedTail = 1 << 16;
+
   /// Telemetry: transactions that commuted through each path, plus batch
   /// shipping and cumulative-ack accounting.
   struct Counters {
@@ -212,6 +227,8 @@ class LogWriter {
   void mark_stage(obs::StageClock* stages, obs::Stage s) const;
   void drain_batch(FillCause cause);
   void clear_batch();
+  /// Evict past kTailRetention, honouring (and bounding) the pin.
+  void trim_tail();
 
   std::atomic<LogMode> mode_;
   LogStorage* disk_;
@@ -222,6 +239,7 @@ class LogWriter {
   std::function<void()> on_ack_timeout_;
   std::map<ValidationTs, Pending> pending_;  // unacked, in seq order
   std::map<ValidationTs, std::vector<Record>> tail_;  // recent submissions
+  std::optional<ValidationTs> tail_pin_;
 
   // ---- group-commit batch buffer ----------------------------------------
   BatchOptions batch_opts_{};

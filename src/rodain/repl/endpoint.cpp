@@ -191,6 +191,16 @@ void Endpoint::on_frame(std::vector<std::byte> frame) {
         handlers_.on_chunk_retry(m.snapshot_id, std::move(m.missing));
       }
       break;
+    case MsgType::kSnapshotInstalled:
+      if (handlers_.on_snapshot_installed) {
+        handlers_.on_snapshot_installed(m.snapshot_id);
+      }
+      break;
+    case MsgType::kJoinComplete:
+      if (handlers_.on_join_complete) {
+        handlers_.on_join_complete(m.snapshot_id, m.seq);
+      }
+      break;
   }
 }
 

@@ -32,6 +32,9 @@ class Endpoint {
         on_snapshot_done;  ///< (boundary, snapshot id)
     std::function<void(std::uint64_t, std::vector<std::uint32_t>)>
         on_chunk_retry;  ///< (snapshot id, missing chunk indexes)
+    std::function<void(std::uint64_t)> on_snapshot_installed;  ///< (id)
+    std::function<void(std::uint64_t, ValidationTs)>
+        on_join_complete;  ///< (snapshot id, through seq)
     std::function<void()> on_disconnect;
     /// The channel came back after a disconnect (observed by poll()).
     std::function<void()> on_reconnected;

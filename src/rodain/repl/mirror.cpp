@@ -88,6 +88,11 @@ MirrorService::MirrorService(storage::ObjectStore& copy, log::LogStorage* disk,
                           on_snapshot_done(boundary, id);
                         },
                     .on_chunk_retry = {},
+                    .on_snapshot_installed = {},
+                    .on_join_complete =
+                        [this](std::uint64_t id, ValidationTs through) {
+                          on_join_complete(id, through);
+                        },
                     .on_disconnect = {},
                     .on_reconnected = {},
                     .on_protocol_error = {},
@@ -113,6 +118,8 @@ void MirrorService::attach_synced(ValidationTs expected_next) {
   reorderer_.set_expected_next(expected_next);
   applied_seq_ = expected_next == 0 ? 0 : expected_next - 1;
   awaiting_snapshot_ = false;
+  installed_id_ = 0;
+  join_through_.reset();
   synced_at_ = clock_.now();
 }
 
@@ -128,6 +135,8 @@ void MirrorService::request_join(ValidationTs have) {
     obs::tracer().record_instant(obs::Phase::kRejoin, have);
   }
   awaiting_snapshot_ = true;
+  installed_id_ = 0;
+  join_through_.reset();
   join_have_ = have;
   // Floor for acceptable serves: ids embed the shared clock (us << 16), so
   // every serve created before this join request compares smaller, and the
@@ -164,24 +173,36 @@ void MirrorService::poll(TimePoint now) {
   // Flush completions are asynchronous (the sim disk fires them on its own
   // timeline): fold any failures reported since the last apply into stats.
   check_disk_health();
-  if (!awaiting_snapshot_ && ckpt_.enabled() && ckpt_.tick(now)) {
+  if (!join_in_progress() && ckpt_.enabled() && ckpt_.tick(now)) {
     stats_.checkpoints = ckpt_.stats().checkpoints;
     stats_.log_truncated = ckpt_.stats().truncated;
   }
-  if (!awaiting_snapshot_) return;
+  if (!join_in_progress()) return;
   if (now - last_join_activity_ <= options_.join_retry_timeout) return;
-  // The join stalled: the request, some chunks, or the done marker were
-  // lost. With a partial assembly, ask for exactly the missing chunks;
+  // Retry only once the primary has spoken since the join last moved. A
+  // silent primary is serving (a serve holds its frame handler, and on the
+  // threaded runtime its commit mutex, so even its heartbeats wait) or is
+  // gone; a retry would only queue another serve behind the one running.
+  if (endpoint_.last_heard() <= last_join_activity_) return;
+  // The join stalled: the request, some chunks, the done marker, the
+  // install report or its answer were lost. With a partial assembly, ask
+  // for exactly the missing chunks; once installed, report again;
   // otherwise start over.
   ++stats_.join_retries;
   mm().join_retries.inc();
   last_join_activity_ = now;
   if (++stalled_retries_ > kMaxChunkRetries) {
-    // Repeated chunk retries went nowhere (e.g. the primary rebuilt and no
-    // longer caches this serve): start the join over.
+    // Repeated retries went nowhere (e.g. the primary rebuilt and no longer
+    // caches this serve or knows this join): start the join over.
     RODAIN_WARN("mirror: %u stalled retries, restarting the join",
                 stalled_retries_);
     request_join(join_have_);
+    return;
+  }
+  if (installed_id_ != 0) {
+    RODAIN_INFO("mirror: no switch for installed serve %llu, reporting again",
+                static_cast<unsigned long long>(installed_id_));
+    send_install_report();
     return;
   }
   if (snapshot_id_ != 0 && chunks_received_ > 0) {
@@ -205,7 +226,9 @@ void MirrorService::on_heartbeat(NodeRole role, ValidationTs applied) {
   if (role == NodeRole::kPrimaryAlone || role == NodeRole::kPrimaryWithMirror) {
     serving_last_heard_ = clock_.now();
   }
-  if (role != NodeRole::kPrimaryAlone || awaiting_snapshot_) return;
+  // A joiner ignores kPrimaryAlone: the primary serves alone until the
+  // switch of our own join.
+  if (role != NodeRole::kPrimaryAlone || join_in_progress()) return;
   // The primary serves alone while we believe we are its synced mirror: it
   // falsely declared us lost (ack timeout / watchdog during a link flap)
   // and our copy is diverging. Rejoin from what we have. Freshly synced
@@ -257,6 +280,7 @@ void MirrorService::on_log_batch(std::vector<log::Record> records) {
   // fully-installed prefix (the epoch barrier inside release_epoch).
   reorderer_.flush_epoch();
   if (commits > 0) send_cumulative_ack(commits);
+  maybe_finish_join();  // the switch's catch-up may complete the join
 }
 
 void MirrorService::send_cumulative_ack(std::size_t commits_covered) {
@@ -505,7 +529,12 @@ void MirrorService::on_snapshot_done(ValidationTs boundary,
               static_cast<unsigned long long>(meta.value().object_count),
               static_cast<unsigned long long>(boundary));
   awaiting_snapshot_ = false;
-  synced_at_ = clock_.now();
+  installed_id_ = snapshot_id;
+  join_through_.reset();
+  stalled_retries_ = 0;
+  // The install itself can outlast the retry timeout; the report below
+  // gets a full one.
+  last_join_activity_ = clock_.now();
   // applied_seq_ first: set_expected_next stages the run above the boundary
   // into the epoch buffer (it also clears the hold, purges what the
   // snapshot covers, and discards pre-floor releases), and the flush below
@@ -519,9 +548,39 @@ void MirrorService::on_snapshot_done(ValidationTs boundary,
   mm().reorder_staged.set(static_cast<double>(reorderer_.staged_commits()));
   mm().reorder_open.set(static_cast<double>(reorderer_.open_txns()));
   // The join sent no acks (the floor was unknown): one cumulative ack now
-  // covers the snapshot boundary and the run staged while it assembled,
-  // releasing every transaction the primary kept pending across the join.
+  // covers the snapshot boundary and the run staged while it assembled.
   send_cumulative_ack(held);
+  // Our half of phase 1 is done. The primary answers the report by
+  // shipping what it committed since the serve and switching to mirror
+  // mode; kJoinComplete then says how far that stream goes.
+  send_install_report();
+}
+
+void MirrorService::send_install_report() {
+  if (!endpoint_.send(Message::snapshot_installed(installed_id_))) {
+    ++stats_.send_failures;
+  }
+}
+
+void MirrorService::on_join_complete(std::uint64_t snapshot_id,
+                                     ValidationTs through) {
+  serving_last_heard_ = clock_.now();  // only a serving node completes joins
+  if (installed_id_ == 0 || snapshot_id != installed_id_) return;  // stale
+  // No reset of stalled_retries_: a repeated answer whose catch-up never
+  // arrives must still run the retries out and restart the join.
+  join_through_ = through;
+  last_join_activity_ = clock_.now();
+  maybe_finish_join();
+}
+
+void MirrorService::maybe_finish_join() {
+  if (!join_through_ || applied_seq_ < *join_through_) return;
+  RODAIN_INFO("mirror: join %llu complete at applied seq %llu",
+              static_cast<unsigned long long>(installed_id_),
+              static_cast<unsigned long long>(applied_seq_));
+  installed_id_ = 0;
+  join_through_.reset();
+  synced_at_ = clock_.now();
   if (options_.on_synced) options_.on_synced();
 }
 

@@ -18,12 +18,19 @@
 // marks the stored log non-dense — a rejoin must then be served by live
 // encode, never from a log with holes.
 //
+// A join is two-phase (DESIGN.md §12): after installing the snapshot this
+// node reports kSnapshotInstalled, and it becomes a mirror only once the
+// primary's kJoinComplete has arrived and everything through its seq has
+// applied. Until then it is a joiner: the primary may hold acknowledged
+// commits it lacks, so it must never take over.
+//
 // The join path is hardened against a faulty link: snapshot chunks are
 // assembled by index under a per-serve snapshot id (so chunks from an
 // abandoned serve can never leak into a later one), missing chunks are
-// re-requested with kChunkRetry, a stalled join is retried, and a primary
-// that falsely declared this mirror lost (heartbeats say kPrimaryAlone
-// while we believe we are its synced mirror) triggers an automatic rejoin.
+// re-requested with kChunkRetry, a stalled join or an unanswered install
+// report is retried, and a primary that falsely declared this mirror lost
+// (heartbeats say kPrimaryAlone while we believe we are its synced mirror)
+// triggers an automatic rejoin.
 #pragma once
 
 #include <atomic>
@@ -53,15 +60,18 @@ class MirrorService {
     /// node passes its worker count so the mirror keeps pace with a
     /// parallel-commit primary (DESIGN.md §14).
     std::size_t apply_workers{1};
-    /// Invoked when a requested join finishes (snapshot installed and the
-    /// stashed live stream replayed) — the node is now a proper Mirror.
+    /// Invoked when a requested join finishes (snapshot installed, the
+    /// primary's kJoinComplete received, and every transaction through its
+    /// seq applied) — the node is now a proper Mirror.
     std::function<void()> on_synced;
     /// The primary abandoned us (its heartbeats say kPrimaryAlone while we
     /// are synced): a rejoin was initiated; the node should drop back to
     /// kRecovering until on_synced fires again.
     std::function<void()> on_abandoned;
-    /// A join making no progress for this long retries (missing chunks are
-    /// re-requested; with nothing received yet, the join is re-sent).
+    /// A join making no progress for this long, while the primary is
+    /// heard from, retries (missing chunks are re-requested; with nothing
+    /// received yet, the join is re-sent; once installed, the install
+    /// report is re-sent).
     Duration join_retry_timeout{Duration::millis(100)};
     /// Ignore kPrimaryAlone heartbeats this soon after syncing — they can
     /// be stale frames that were in flight while our join completed.
@@ -138,6 +148,11 @@ class MirrorService {
   [[nodiscard]] ValidationTs applied_seq() const { return applied_seq_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool snapshot_in_progress() const { return awaiting_snapshot_; }
+  /// Between request_join and the end of the two-phase join: assembling,
+  /// installing, or waiting for the primary's switch.
+  [[nodiscard]] bool join_in_progress() const {
+    return awaiting_snapshot_ || installed_id_ != 0;
+  }
   [[nodiscard]] TimePoint last_heard() const { return endpoint_.last_heard(); }
   /// When we last heard from a *serving* primary (serving-role heartbeat,
   /// log batch, or snapshot traffic). The takeover watchdog must use this,
@@ -185,6 +200,11 @@ class MirrorService {
   void on_snapshot_chunk(std::uint64_t snapshot_id, std::uint32_t index,
                          std::uint32_t total, std::vector<std::byte> blob);
   void on_snapshot_done(ValidationTs boundary, std::uint64_t snapshot_id);
+  void on_join_complete(std::uint64_t snapshot_id, ValidationTs through);
+  /// Finish the join once kJoinComplete arrived and applied_seq_ reached
+  /// its through seq.
+  void maybe_finish_join();
+  void send_install_report();
   void on_heartbeat(NodeRole role, ValidationTs applied);
   void reset_assembly();
   [[nodiscard]] std::vector<std::uint32_t> missing_chunks() const;
@@ -227,9 +247,14 @@ class MirrorService {
   std::uint32_t chunk_total_{0};
   std::vector<std::optional<std::vector<std::byte>>> chunks_;
   std::size_t chunks_received_{0};
+  /// The serve whose snapshot is installed and whose switch we wait for
+  /// (0 when none), and the through seq of its kJoinComplete once that
+  /// arrived.
+  std::uint64_t installed_id_{0};
+  std::optional<ValidationTs> join_through_;
   /// Consecutive no-progress join retries; past kMaxChunkRetries the join
   /// restarts from scratch instead of asking for chunks the primary may no
-  /// longer cache.
+  /// longer cache, or for a switch a restarted primary no longer knows.
   std::uint32_t stalled_retries_{0};
   static constexpr std::uint32_t kMaxChunkRetries = 4;
   ValidationTs join_have_{0};

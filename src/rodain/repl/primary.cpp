@@ -1,5 +1,6 @@
 #include "rodain/repl/primary.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "rodain/common/diag.hpp"
@@ -21,18 +22,23 @@ struct PrimaryMetrics {
       obs::metrics().counter("repl.snapshot_chunks_resent");
   obs::Gauge& mirror_applied_seq =
       obs::metrics().gauge("repl.mirror_applied_seq");
+  /// How long a serve holds the frame handler (the commit path stalls for
+  /// it), and the transactions shipped at the switch of a two-phase join.
+  obs::Timer& join_serve = obs::metrics().timer("repl.join_serve_us");
+  obs::Counter& join_catchup_txns =
+      obs::metrics().counter("repl.join_catchup_txns");
 };
 PrimaryMetrics& pm() {
   static PrimaryMetrics m;
   return m;
 }
 
-/// Snapshot-serve ids must be monotone across replicator rebuilds so the
-/// joiner can order serves (clock microseconds high, process counter low —
-/// same scheme as endpoint epochs).
 /// Catch-up batches cut at commit boundaries at roughly this many records.
 constexpr std::size_t kCatchUpBatchRecords = 256;
 
+/// Snapshot-serve ids must be monotone across replicator rebuilds so the
+/// joiner can order serves (clock microseconds high, process counter low —
+/// same scheme as endpoint epochs).
 std::uint64_t next_snapshot_id(const Clock& clock) {
   static std::atomic<std::uint64_t> counter{1};
   const auto us = static_cast<std::uint64_t>(clock.now().us);
@@ -90,8 +96,14 @@ PrimaryReplicator::PrimaryReplicator(net::Channel& channel, const Clock& clock,
                                std::vector<std::uint32_t> missing) {
                           on_chunk_retry(id, missing);
                         },
+                    .on_snapshot_installed =
+                        [this](std::uint64_t id) { on_snapshot_installed(id); },
+                    .on_join_complete = {},
                     .on_disconnect =
                         [this] {
+                          // The joiner is gone with the link; a rejoin
+                          // starts with a fresh request.
+                          drop_pending_serves();
                           if (hooks_.on_disconnect) hooks_.on_disconnect();
                         },
                     .on_reconnected =
@@ -148,8 +160,37 @@ Status PrimaryReplicator::send_chunk(std::uint32_t index) {
           snap.bytes.begin() + static_cast<std::ptrdiff_t>(begin + len))));
 }
 
+std::size_t PrimaryReplicator::ship_catch_up(std::vector<log::Record> records) {
+  // Slices are cut at commit boundaries: a transaction's records never span
+  // batches (Shipper contract the reorderer relies on).
+  std::size_t txns = 0;
+  std::vector<log::Record> batch;
+  batch.reserve(std::min<std::size_t>(records.size(), kCatchUpBatchRecords));
+  for (log::Record& r : records) {
+    const bool commit = r.is_commit();
+    txns += commit ? 1 : 0;
+    batch.push_back(std::move(r));
+    if (commit && batch.size() >= kCatchUpBatchRecords) {
+      (void)send_counted(Message::log_batch(std::move(batch)));
+      batch.clear();
+    }
+  }
+  if (!batch.empty()) (void)send_counted(Message::log_batch(std::move(batch)));
+  return txns;
+}
+
+void PrimaryReplicator::drop_pending_serves() {
+  if (pending_serves_.empty()) return;
+  pending_serves_.clear();
+  writer_.unpin_tail();
+}
+
 void PrimaryReplicator::on_join_request(ValidationTs have) {
   (void)have;  // a full snapshot is always shipped; `have` is advisory
+  // A node that asks to join is no longer a mirror.
+  if (hooks_.on_join_started) hooks_.on_join_started();
+  switched_serve_ = 0;
+  obs::ScopedTimer serve_timer(pm().join_serve);
   ValidationTs boundary =
       hooks_.snapshot_boundary ? hooks_.snapshot_boundary() : 0;
 
@@ -173,8 +214,8 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
     ByteWriter w(store_.size() * 80 + 64);
     storage::encode_checkpoint(store_, boundary, w, index_);
     bytes = w.take();
-    // Catch-up: committed transactions past the boundary that were logged
-    // before the mode switch (the joiner drops any overlap as stale).
+    // Catch-up: committed transactions past the boundary that the writer
+    // already logged (the joiner drops any overlap as stale).
     tail = writer_.tail_since(boundary);
   }
 
@@ -185,27 +226,28 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
                                   std::move(bytes)};
   for (std::uint32_t i = 0; i < total; ++i) (void)send_chunk(i);
 
-  // Switch to mirror mode *before* SnapshotDone so no commit can slip
-  // between the tail and the live stream.
-  if (hooks_.on_mirror_joined) hooks_.on_mirror_joined();
-  if (!tail.empty()) {
-    // Ship in slices cut at commit boundaries: a transaction's records
-    // never span batches (Shipper contract the reorderer relies on).
-    std::vector<log::Record> batch;
-    batch.reserve(std::min<std::size_t>(tail.size(), kCatchUpBatchRecords));
-    for (log::Record& r : tail) {
-      const bool commit = r.is_commit();
-      batch.push_back(std::move(r));
-      if (commit && batch.size() >= kCatchUpBatchRecords) {
-        (void)send_counted(Message::log_batch(std::move(batch)));
-        batch.clear();
-      }
-    }
-    if (!batch.empty()) {
-      (void)send_counted(Message::log_batch(std::move(batch)));
-    }
+  // Phase 1 ends with the catch-up and the done marker. The writer keeps
+  // its transient mode while the joiner installs; what commits meanwhile
+  // stays in the writer's pinned tail and ships at the switch. `through` is
+  // the dense prefix this serve covers: the boundary plus the consecutive
+  // commits of the catch-up.
+  ValidationTs through = boundary;
+  for (const log::Record& r : tail) {
+    if (r.is_commit() && r.seq == through + 1) through = r.seq;
   }
+  (void)ship_catch_up(std::move(tail));
   (void)send_counted(Message::snapshot_done(boundary, last_snapshot_->id));
+  if (pending_serves_.empty() || writer_.tail_pin() != pending_through_) {
+    // No earlier serve is pending, or its pin hit the bound.
+    pending_serves_.clear();
+    pending_through_ = through;
+  }
+  pending_through_ = std::min(pending_through_, through);
+  writer_.pin_tail(pending_through_);
+  pending_serves_.push_back(last_snapshot_->id);
+  if (pending_serves_.size() > kMaxPendingServes) {
+    pending_serves_.erase(pending_serves_.begin());
+  }
   ++snapshots_served_;
   pm().snapshots_served.inc();
   RODAIN_INFO(
@@ -214,6 +256,50 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
       static_cast<unsigned long long>(last_snapshot_->id),
       static_cast<unsigned long long>(boundary), last_snapshot_->bytes.size(),
       total, from_disk ? "from disk" : "live encode");
+}
+
+void PrimaryReplicator::on_snapshot_installed(std::uint64_t snapshot_id) {
+  if (snapshot_id != 0 && snapshot_id == switched_serve_) {
+    // The joiner missed our kJoinComplete: say it again.
+    (void)send_counted(Message::join_complete(snapshot_id, switched_through_));
+    return;
+  }
+  if (std::find(pending_serves_.begin(), pending_serves_.end(), snapshot_id) ==
+      pending_serves_.end()) {
+    RODAIN_WARN("primary: install report for unknown serve %llu ignored",
+                static_cast<unsigned long long>(snapshot_id));
+    return;
+  }
+  pending_serves_.clear();
+  if (writer_.tail_pin() != pending_through_) {
+    // The pin hit its bound, so the tail no longer holds everything
+    // committed during the install. The joiner's report retries run out
+    // and it starts the join over.
+    RODAIN_WARN("primary: tail pin for serve %llu was dropped; join abandoned",
+                static_cast<unsigned long long>(snapshot_id));
+    return;
+  }
+  // Phase 2, the switch, in one critical section (the node runs every frame
+  // handler under its commit mutex): ship what committed since the serve,
+  // switch the writer, then tell the joiner how far the shipped stream goes.
+  // Shipping from the oldest pending serve's seq may repeat transactions a
+  // newer serve already covered; the joiner drops them as stale.
+  std::vector<log::Record> since = writer_.tail_since(pending_through_);
+  ValidationTs through = pending_through_;
+  for (const log::Record& r : since) {
+    if (r.is_commit()) through = std::max(through, r.seq);
+  }
+  const std::size_t txns = ship_catch_up(std::move(since));
+  pm().join_catchup_txns.inc(txns);
+  if (hooks_.on_mirror_joined) hooks_.on_mirror_joined();
+  writer_.unpin_tail();
+  switched_serve_ = snapshot_id;
+  switched_through_ = through;
+  (void)send_counted(Message::join_complete(snapshot_id, through));
+  RODAIN_INFO("primary: join %llu complete through seq %llu (%zu txns shipped "
+              "at the switch)",
+              static_cast<unsigned long long>(snapshot_id),
+              static_cast<unsigned long long>(through), txns);
 }
 
 void PrimaryReplicator::on_chunk_retry(

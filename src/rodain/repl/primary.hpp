@@ -2,6 +2,12 @@
 // LogWriter's Shipper), routes commit acks back, serves join requests with
 // a snapshot + catch-up tail, and exposes peer liveness for the watchdog.
 //
+// A join is two-phase (DESIGN.md §12). The serve ships the snapshot and the
+// catch-up through the installed low-water, and leaves the writer in its
+// transient mode, its tail pinned, while the joiner installs. The joiner's
+// kSnapshotInstalled report triggers the switch: ship what committed since
+// the serve, switch the writer to kMirror, answer kJoinComplete.
+//
 // Hardened against lossy links: send statuses are counted instead of
 // dropped, the last served snapshot is cached so the joiner can ask for
 // exactly the chunks it is missing (kChunkRetry), and a reconnect observed
@@ -42,8 +48,16 @@ class PrimaryReplicator final : public log::Shipper {
     /// nullopt to fall back to the live path (no checkpoint on disk, log
     /// coverage gap, non-segmented log, ...).
     std::function<std::optional<JoinArtifacts>()> join_artifacts;
-    /// A mirror finished joining (snapshot + catch-up shipped): the node
-    /// should switch the LogWriter to kMirror mode and update its role.
+    /// A join request arrived and is about to be served. A node that asks
+    /// to join is no longer a mirror: a node that still counts on it must
+    /// drop to transient mode first (on_mirror_lost re-routes unacked
+    /// commits to disk).
+    std::function<void()> on_join_started;
+    /// The joiner reported its snapshot installed, and everything committed
+    /// since the serve has been shipped: the node should switch the
+    /// LogWriter to kMirror mode and update its role. Runs inside the
+    /// report's frame handler, so no commit falls between the catch-up and
+    /// the live stream.
     std::function<void()> on_mirror_joined;
     /// The link dropped.
     std::function<void()> on_disconnect;
@@ -110,8 +124,14 @@ class PrimaryReplicator final : public log::Shipper {
   void on_join_request(ValidationTs have);
   void on_chunk_retry(std::uint64_t snapshot_id,
                       const std::vector<std::uint32_t>& missing);
+  void on_snapshot_installed(std::uint64_t snapshot_id);
   Status send_counted(const Message& m);
   Status send_chunk(std::uint32_t index);
+  /// Ship records as kLogBatch slices cut at commit boundaries; returns how
+  /// many transactions they carried.
+  std::size_t ship_catch_up(std::vector<log::Record> records);
+  /// Forget the serves still waiting for an install report, and the pin.
+  void drop_pending_serves();
 
   /// The last served snapshot, kept until the mirror's applied seq passes
   /// its boundary, so lost chunks can be re-served without re-encoding.
@@ -135,6 +155,18 @@ class PrimaryReplicator final : public log::Shipper {
   std::uint64_t send_failures_{0};
   std::uint64_t snapshot_chunks_resent_{0};
   std::optional<CachedSnapshot> last_snapshot_;
+  /// Serves waiting for the joiner's install report, oldest first. A
+  /// joiner that re-sent its request before the first serve reached it
+  /// gets several and installs one of them, so any of them may switch.
+  /// Every one covered each seq <= `pending_through_`, and the writer's
+  /// tail is pinned above it.
+  std::vector<std::uint64_t> pending_serves_;
+  ValidationTs pending_through_{0};
+  static constexpr std::size_t kMaxPendingServes = 4;
+  /// The last switched serve and its kJoinComplete seq: a repeated report
+  /// for it (the answer was lost) is answered again.
+  std::uint64_t switched_serve_{0};
+  ValidationTs switched_through_{0};
 };
 
 }  // namespace rodain::repl

@@ -61,6 +61,22 @@ Message Message::chunk_retry(std::uint64_t snapshot_id,
   return m;
 }
 
+Message Message::snapshot_installed(std::uint64_t snapshot_id) {
+  Message m;
+  m.type = MsgType::kSnapshotInstalled;
+  m.snapshot_id = snapshot_id;
+  return m;
+}
+
+Message Message::join_complete(std::uint64_t snapshot_id,
+                               ValidationTs through) {
+  Message m;
+  m.type = MsgType::kJoinComplete;
+  m.snapshot_id = snapshot_id;
+  m.seq = through;
+  return m;
+}
+
 void encode_into(const Message& m, ByteWriter& w) {
   w.put_u8(static_cast<std::uint8_t>(m.type));
   switch (m.type) {
@@ -93,6 +109,13 @@ void encode_into(const Message& m, ByteWriter& w) {
       w.put_varint(m.snapshot_id);
       w.put_varint(m.missing.size());
       for (std::uint32_t i : m.missing) w.put_u32(i);
+      break;
+    case MsgType::kSnapshotInstalled:
+      w.put_varint(m.snapshot_id);
+      break;
+    case MsgType::kJoinComplete:
+      w.put_varint(m.snapshot_id);
+      w.put_varint(m.seq);
       break;
   }
 }
@@ -166,6 +189,15 @@ Result<Message> decode_from(ByteReader& r) {
       }
       break;
     }
+    case MsgType::kSnapshotInstalled:
+      m.type = MsgType::kSnapshotInstalled;
+      if (auto s = r.get_varint(m.snapshot_id); !s) return s;
+      break;
+    case MsgType::kJoinComplete:
+      m.type = MsgType::kJoinComplete;
+      if (auto s = r.get_varint(m.snapshot_id); !s) return s;
+      if (auto s = r.get_varint(m.seq); !s) return s;
+      break;
     default:
       return Status::error(ErrorCode::kCorruption, "unknown message type");
   }

@@ -9,10 +9,20 @@
 //   kHeartbeat     both directions, watchdog liveness + applied high-water
 //   kJoinRequest   recovering node -> serving node: "make me your mirror"
 //   kSnapshotChunk serving node -> joiner: checkpoint bytes
-//   kSnapshotDone  serving node -> joiner: snapshot boundary seq; live
-//                  records with greater seq follow
+//   kSnapshotDone  serving node -> joiner: snapshot boundary seq; the
+//                  catch-up through the server's installed low-water
+//                  precedes it
 //   kChunkRetry    joiner -> serving node: re-send these missing chunks
+//   kSnapshotInstalled
+//                  joiner -> serving node: serve `snapshot_id` is
+//                  installed; ship what committed since and switch to
+//                  mirror mode (re-sent until answered)
+//   kJoinComplete  serving node -> joiner: serve `snapshot_id` is complete;
+//                  the server now waits for this node's acks, and the
+//                  joiner is a mirror once it has applied through `seq`
 //
+// A join is two-phase (DESIGN.md §12): the server keeps committing to its
+// own disk while the joiner installs, and switches only on the report.
 // Every message travels inside a frame envelope:
 //
 //   [u32 crc32c(epoch || frame_seq || payload)][u64 epoch][u64 frame_seq][payload]
@@ -42,21 +52,24 @@ enum class MsgType : std::uint8_t {
   kSnapshotChunk = 5,
   kSnapshotDone = 6,
   kChunkRetry = 7,
+  kSnapshotInstalled = 8,
+  kJoinComplete = 9,
 };
 
 struct Message {
   MsgType type{MsgType::kHeartbeat};
 
   std::vector<log::Record> records;  ///< kLogBatch
-  ValidationTs seq{0};               ///< ack seq / snapshot boundary / applied
+  /// ack seq / snapshot boundary / applied / kJoinComplete's through seq
+  ValidationTs seq{0};
   NodeRole role{NodeRole::kDown};    ///< kHeartbeat: sender's role
   ValidationTs have{0};              ///< kJoinRequest: seq already recovered
   std::vector<std::byte> blob;       ///< kSnapshotChunk payload
   std::uint32_t chunk_index{0};      ///< kSnapshotChunk ordinal
   std::uint32_t chunk_total{0};      ///< kSnapshotChunk count
   /// Identifies one snapshot serve (kSnapshotChunk / kSnapshotDone /
-  /// kChunkRetry), so chunks from an abandoned serve can never be mixed
-  /// into a later one.
+  /// kChunkRetry / kSnapshotInstalled / kJoinComplete), so chunks from an
+  /// abandoned serve can never be mixed into a later one.
   std::uint64_t snapshot_id{0};
   std::vector<std::uint32_t> missing;  ///< kChunkRetry: chunk indexes
 
@@ -72,6 +85,9 @@ struct Message {
                                              std::uint64_t snapshot_id);
   [[nodiscard]] static Message chunk_retry(std::uint64_t snapshot_id,
                                            std::vector<std::uint32_t> missing);
+  [[nodiscard]] static Message snapshot_installed(std::uint64_t snapshot_id);
+  [[nodiscard]] static Message join_complete(std::uint64_t snapshot_id,
+                                             ValidationTs through);
 };
 
 [[nodiscard]] std::vector<std::byte> encode(const Message& m);

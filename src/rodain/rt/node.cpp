@@ -264,6 +264,9 @@ void Node::build_primary_locked(LogMode mode) {
     };
     // Runs under commit_mu_ (GuardedChannel wraps every inbound frame).
     hooks.join_artifacts = [this] { return join_artifacts_locked(); };
+    hooks.on_join_started = [this] {
+      escalate_mirror_lost_locked("mirror asked to rejoin");
+    };
     hooks.on_mirror_joined = [this] {
       log_writer_->set_mode(LogMode::kMirror);
       become_locked(NodeRole::kPrimaryWithMirror);

@@ -72,6 +72,9 @@ void SimNode::build_log_writer(LogMode mode) {
     hooks.snapshot_boundary = [this] {
       return engine_ ? engine_->installed_low_water() : ValidationTs{0};
     };
+    hooks.on_join_started = [this] {
+      escalate_mirror_lost("mirror asked to rejoin");
+    };
     hooks.on_mirror_joined = [this] {
       log_writer_->set_mode(LogMode::kMirror);
       become(NodeRole::kPrimaryWithMirror);
@@ -218,6 +221,11 @@ void SimNode::fail() {
   if (sweep_event_ != sim::kInvalidEvent) {
     sim_.cancel(sweep_event_);
     sweep_event_ = sim::kInvalidEvent;
+  }
+  // Flushes still on the device complete without us: their callbacks
+  // point into the engine torn down below.
+  if (auto* disk = dynamic_cast<log::SimDiskLogStorage*>(disk_.get())) {
+    disk->crash();
   }
   // Parked redo dies with the node; the next restart_from_disk re-indexes
   // the surviving log (crash mid-sweep is the re-restart test's territory).

@@ -147,6 +147,56 @@ TEST(Crc32c, KnownVector) {
   EXPECT_EQ(crc, 0xE3069283u);
 }
 
+TEST(Crc32c, KnownVectorOnBothPaths) {
+  const char* s = "123456789";
+  const auto bytes = std::as_bytes(std::span{s, 9});
+  EXPECT_EQ(detail::crc32c_portable(bytes), 0xE3069283u);
+  if (!detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU: only the table path runs";
+  }
+  EXPECT_EQ(detail::crc32c_hardware(bytes), 0xE3069283u);
+}
+
+TEST(Crc32c, HardwarePathEqualsTablePath) {
+  if (!detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU: only the table path runs";
+  }
+  // Every length up to 4 KiB at every alignment: the hardware path takes
+  // eight bytes per step, so each remainder and start offset must agree.
+  std::vector<std::byte> data(4096 + 8);
+  std::uint32_t x = 0x9e3779b9u;
+  for (std::byte& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  const std::span<const std::byte> all(data);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto piece = all.subspan(offset, len);
+      ASSERT_EQ(detail::crc32c_hardware(piece), detail::crc32c_portable(piece))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  // Chained seeds: a CRC continued from a previous one equals the CRC of
+  // the concatenation, on both paths.
+  for (std::size_t split : {0u, 1u, 7u, 8u, 9u, 1000u, 4095u, 4096u}) {
+    const auto head = all.subspan(0, split);
+    const auto tail = all.subspan(split, 4096 - split);
+    const std::uint32_t whole = detail::crc32c_portable(all.subspan(0, 4096));
+    EXPECT_EQ(detail::crc32c_portable(tail, detail::crc32c_portable(head)),
+              whole)
+        << split;
+    EXPECT_EQ(detail::crc32c_hardware(tail, detail::crc32c_hardware(head)),
+              whole)
+        << split;
+  }
+  for (std::uint32_t seed : {0x1u, 0xdeadbeefu, 0xffffffffu}) {
+    EXPECT_EQ(detail::crc32c_hardware(all, seed),
+              detail::crc32c_portable(all, seed))
+        << seed;
+  }
+}
+
 TEST(Crc32c, DetectsBitFlip) {
   std::vector<std::byte> data(64);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i);

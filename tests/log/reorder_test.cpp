@@ -282,6 +282,26 @@ TEST(ReordererEpochs, HoldReleasesSpansEpochs) {
   EXPECT_EQ(c.epochs[1], (std::vector<ValidationTs>{2, 3, 4}));
 }
 
+TEST(ReordererEpochs, HoldStagesCatchUpBelowTheOldFloor) {
+  // A mirror that released through 3 rejoins, and the primary serves a
+  // snapshot at boundary 1: the catch-up 2..3 arrives again and must stage,
+  // not be dropped as stale against the old floor.
+  BatchCollector c;
+  c.feed_txn(11, 1);
+  c.feed_txn(12, 2);
+  c.feed_txn(13, 3);
+  EXPECT_EQ(c.reorderer.flush_epoch(), 3u);
+  c.reorderer.hold_releases();
+  c.reorderer.begin_batch();
+  c.feed_txn(12, 2);
+  c.feed_txn(13, 3);
+  EXPECT_EQ(c.reorderer.staged_commits(), 2u);
+  c.reorderer.set_expected_next(2);
+  EXPECT_EQ(c.reorderer.flush_epoch(), 2u);
+  ASSERT_EQ(c.epochs.size(), 2u);
+  EXPECT_EQ(c.epochs[1], (std::vector<ValidationTs>{2, 3}));
+}
+
 TEST(ReordererEpochs, SetExpectedNextDiscardsUnflushedEpoch) {
   // Releases parked in the epoch buffer when a snapshot install moves the
   // floor are covered by that snapshot: applying them afterwards would

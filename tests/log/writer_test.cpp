@@ -269,6 +269,33 @@ TEST(LogWriter, TailRetentionIsBounded) {
   EXPECT_EQ(all[1].seq, 101u);  // oldest 100 evicted
 }
 
+TEST(LogWriter, TailPinOutlivesRetentionUpToItsBound) {
+  LogWriter writer(LogMode::kOff, nullptr, nullptr);
+  ValidationTs seq = 0;
+  auto submit_upto = [&](ValidationTs last) {
+    while (seq < last) {
+      ++seq;
+      writer.submit(seq, txn_records(seq, seq), {});
+    }
+  };
+  submit_upto(10);
+  writer.pin_tail(5);
+  // Past the retention, only entries at or below the pin are evicted.
+  submit_upto(LogWriter::kTailRetention + 100);
+  auto pinned = writer.tail_since(5);
+  EXPECT_EQ(pinned.size(), 2 * (LogWriter::kTailRetention + 95));
+  EXPECT_EQ(pinned[1].seq, 6u);
+  EXPECT_TRUE(writer.tail_since(0)[1].seq == 6u);  // 1..5 evicted
+  // Unpinning trims back to the retention.
+  writer.unpin_tail();
+  EXPECT_EQ(writer.tail_since(0).size(), 2 * LogWriter::kTailRetention);
+  // A pin the tail would outgrow is dropped at the bound.
+  writer.pin_tail(seq);
+  submit_upto(seq + LogWriter::kMaxPinnedTail + 1);
+  EXPECT_FALSE(writer.tail_pin().has_value());
+  EXPECT_EQ(writer.tail_since(0).size(), 2 * LogWriter::kTailRetention);
+}
+
 TEST(LogWriter, SynchronousLoopbackAckFindsPendingEntry) {
   // Regression: submit() used to ship before registering pending_, so a
   // shipper that acks synchronously (loopback transport) found an empty map

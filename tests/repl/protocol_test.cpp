@@ -75,6 +75,43 @@ TEST(ReplProtocol, ChunkRetryRoundTrip) {
   EXPECT_EQ(out.missing, (std::vector<std::uint32_t>{0, 5, 17}));
 }
 
+TEST(ReplProtocol, SnapshotInstalledRoundTrip) {
+  Message out = round_trip(Message::snapshot_installed(0x1234567890abULL));
+  EXPECT_EQ(out.type, MsgType::kSnapshotInstalled);
+  EXPECT_EQ(out.snapshot_id, 0x1234567890abULL);
+}
+
+TEST(ReplProtocol, JoinCompleteRoundTrip) {
+  Message out = round_trip(Message::join_complete(77, 123456));
+  EXPECT_EQ(out.type, MsgType::kJoinComplete);
+  EXPECT_EQ(out.snapshot_id, 77u);
+  EXPECT_EQ(out.seq, 123456u);
+}
+
+TEST(ReplProtocol, JoinMessagesRejectTruncationAndCorruption) {
+  for (const Message& m : {Message::snapshot_installed(1ULL << 40),
+                           Message::join_complete(1ULL << 40, 1 << 20)}) {
+    const auto payload = encode(m);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      std::vector<std::byte> prefix(payload.begin(), payload.begin() + cut);
+      EXPECT_FALSE(decode(prefix).is_ok())
+          << static_cast<int>(m.type) << " cut to " << cut;
+    }
+    const auto framed = encode_framed(3, 9, m);
+    for (std::size_t cut = 0; cut < framed.size(); ++cut) {
+      std::vector<std::byte> prefix(framed.begin(), framed.begin() + cut);
+      EXPECT_FALSE(decode_framed(prefix).is_ok())
+          << static_cast<int>(m.type) << " framed cut to " << cut;
+    }
+    for (std::size_t i = 0; i < framed.size(); ++i) {
+      auto copy = framed;
+      copy[i] ^= std::byte{0x01};
+      EXPECT_FALSE(decode_framed(copy).is_ok())
+          << static_cast<int>(m.type) << " flip at byte " << i;
+    }
+  }
+}
+
 TEST(ReplProtocol, FramedRoundTrip) {
   Message m = Message::commit_ack(99);
   auto bytes = encode_framed(7, 12, m);

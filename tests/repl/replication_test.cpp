@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "rodain/net/faulty_link.hpp"
 #include "rodain/net/sim_link.hpp"
 #include "rodain/repl/mirror.hpp"
 #include "rodain/repl/primary.hpp"
@@ -131,26 +132,217 @@ TEST(Replication, JoinShipsSnapshotAndCatchUp) {
   }
   rig.boundary = 3;  // snapshot covers txns 1..3; 4..5 must catch up via tail
 
+  // Phase 1: the serve. Step until the joiner has installed; its install
+  // report is then in flight, and the primary has not switched.
   rig.mirror->request_join(0);
-  rig.sim.run();
+  while (rig.mirror->snapshot_in_progress()) {
+    ASSERT_TRUE(rig.sim.step()) << "the join stalled before the install";
+  }
+  EXPECT_TRUE(rig.mirror->join_in_progress());
+  EXPECT_FALSE(rig.mirror_joined);
+  EXPECT_EQ(rig.writer.mode(), LogMode::kDirectDisk);
+  EXPECT_EQ(rig.primary->snapshots_served(), 1u);
 
+  // A commit made while the joiner installs is durable at once, on the
+  // primary's own disk, and reaches the mirror at the switch.
+  bool durable_at_once = false;
+  rig.submit_txn(6, 106, "during-install", [&] { durable_at_once = true; });
+  EXPECT_TRUE(durable_at_once);
+  EXPECT_EQ(rig.primary_disk.records().size(), 12u);  // 6 txns x 2 records
+
+  // Phase 2: the report arrives, the primary ships seq 6 and switches.
+  rig.sim.run();
   EXPECT_TRUE(rig.mirror_joined);
   EXPECT_EQ(rig.writer.mode(), LogMode::kMirror);
   EXPECT_FALSE(rig.mirror->snapshot_in_progress());
-  EXPECT_EQ(rig.mirror->applied_seq(), 5u);
-  for (ValidationTs seq = 1; seq <= 5; ++seq) {
+  EXPECT_FALSE(rig.mirror->join_in_progress());
+  EXPECT_EQ(rig.mirror->applied_seq(), 6u);
+  for (ValidationTs seq = 1; seq <= 6; ++seq) {
     const auto* rec = rig.mirror_store.find(100 + seq);
     ASSERT_NE(rec, nullptr) << seq;
-    EXPECT_EQ(rec->value, val("v" + std::to_string(seq))) << seq;
+    EXPECT_EQ(rec->value, rig.primary_store.find(100 + seq)->value) << seq;
   }
   EXPECT_EQ(rig.primary->snapshots_served(), 1u);
 
   // Live stream continues seamlessly after the join.
   bool durable = false;
+  rig.submit_txn(7, 200, "live", [&] { durable = true; });
+  EXPECT_FALSE(durable);  // mirror mode: waits for the ack
+  rig.sim.run();
+  EXPECT_TRUE(durable);
+  EXPECT_EQ(rig.mirror->applied_seq(), 7u);
+}
+
+TEST(Replication, RepeatedJoinRequestSwitchesTheServeTheJoinerInstalled) {
+  // A joiner that hears nothing for join_retry_timeout sends its join
+  // request again, so a slow primary serves it twice. The joiner installs
+  // the first serve and ignores the second; its report must still switch
+  // the primary, with no second install and no restarted join.
+  Rig rig;
+  rig.writer.set_mode(LogMode::kDirectDisk);
+  for (ValidationTs seq = 1; seq <= 5; ++seq) {
+    rig.submit_txn(seq, 100 + seq, "v" + std::to_string(seq));
+  }
+  rig.boundary = 5;
+  rig.mirror->request_join(0);
+  // A heartbeat the primary sent before it read the request reaches the
+  // joiner first; a poll past the retry timeout with no chunk yet then
+  // re-sends the request.
+  rig.primary->send_heartbeat(NodeRole::kPrimaryAlone);
+  rig.sim.run_until(rig.sim.now() + Duration::micros(600));
+  rig.mirror->poll(rig.sim.now() + Duration::millis(150));
+  rig.sim.run();
+
+  EXPECT_EQ(rig.primary->snapshots_served(), 2u);
+  EXPECT_EQ(rig.mirror->stats().join_retries, 1u);
+  EXPECT_EQ(rig.mirror->stats().snapshot_chunks, 1u);  // one serve assembled
+  EXPECT_TRUE(rig.mirror_joined);
+  EXPECT_FALSE(rig.mirror->join_in_progress());
+  EXPECT_EQ(rig.writer.mode(), LogMode::kMirror);
+  EXPECT_EQ(rig.mirror->applied_seq(), 5u);
+  bool durable = false;
   rig.submit_txn(6, 200, "live", [&] { durable = true; });
   rig.sim.run();
   EXPECT_TRUE(durable);
   EXPECT_EQ(rig.mirror->applied_seq(), 6u);
+}
+
+TEST(Replication, RejoinServedBelowTheAppliedSeqStagesTheCatchUp) {
+  // A mirror the primary dropped rejoins from its applied seq, and the
+  // primary serves a snapshot older than that (a checkpoint on disk): the
+  // catch-up between the boundary and the old applied seq must apply, or
+  // the join would wait forever for seqs it threw away as stale.
+  Rig rig;
+  rig.mirror->attach_synced(1);
+  rig.writer.set_mode(LogMode::kMirror);
+  for (ValidationTs seq = 1; seq <= 5; ++seq) {
+    rig.submit_txn(seq, 100 + seq, "v" + std::to_string(seq));
+  }
+  rig.sim.run();
+  ASSERT_EQ(rig.mirror->applied_seq(), 5u);
+  rig.writer.on_mirror_lost();
+  for (ValidationTs seq = 6; seq <= 7; ++seq) {
+    rig.submit_txn(seq, 100 + seq, "v" + std::to_string(seq));
+  }
+  rig.boundary = 2;
+  rig.mirror->request_join(rig.mirror->applied_seq());
+  rig.sim.run();
+
+  EXPECT_TRUE(rig.mirror_joined);
+  EXPECT_FALSE(rig.mirror->join_in_progress());
+  EXPECT_EQ(rig.mirror->stats().join_retries, 0u);
+  EXPECT_EQ(rig.mirror->applied_seq(), 7u);
+  for (ValidationTs seq = 1; seq <= 7; ++seq) {
+    const auto* rec = rig.mirror_store.find(100 + seq);
+    ASSERT_NE(rec, nullptr) << seq;
+    EXPECT_EQ(rec->value, val("v" + std::to_string(seq))) << seq;
+  }
+}
+
+/// A pair over a FaultyLink whose script drops the first frame carrying
+/// `dropped` (a->b is primary to mirror), with a 10 ms heartbeat tick.
+struct FaultyJoinRig {
+  sim::Simulation sim;
+  net::SimLink inner{sim, {}};
+  net::FaultyLink link{sim, inner, {}};
+  storage::ObjectStore primary_store{64};
+  storage::ObjectStore mirror_store{64};
+  log::MemoryLogStorage primary_disk;
+  log::MemoryLogStorage mirror_disk;
+  log::LogWriter writer{LogMode::kDirectDisk, &primary_disk, nullptr};
+  std::unique_ptr<PrimaryReplicator> primary;
+  std::unique_ptr<MirrorService> mirror;
+  bool synced = false;
+  int dropped_frames = 0;
+
+  explicit FaultyJoinRig(MsgType dropped) {
+    link.set_script([this, dropped](const net::FrameInfo& f) {
+      auto frame = decode_framed(f.bytes);
+      if (dropped_frames == 0 && frame.is_ok() &&
+          frame.value().msg.type == dropped) {
+        ++dropped_frames;
+        return net::ScriptAction::kDrop;
+      }
+      return net::ScriptAction::kPass;
+    });
+    PrimaryReplicator::Hooks hooks;
+    hooks.snapshot_boundary = [this] { return committed; };
+    hooks.on_mirror_joined = [this] { writer.set_mode(LogMode::kMirror); };
+    primary = std::make_unique<PrimaryReplicator>(link.end_a(), sim,
+                                                  primary_store, writer, hooks);
+    writer.set_shipper(primary.get());
+    MirrorService::Options options;
+    options.on_synced = [this] { synced = true; };
+    mirror = std::make_unique<MirrorService>(mirror_store, &mirror_disk,
+                                             link.end_b(), sim, options);
+    tick();
+  }
+
+  /// Both nodes' heartbeat tick: the joiner retries only while it hears
+  /// from the primary.
+  void tick() {
+    sim.schedule_after(Duration::millis(10), [this] {
+      primary->send_heartbeat(writer.mode() == LogMode::kMirror
+                                  ? NodeRole::kPrimaryWithMirror
+                                  : NodeRole::kPrimaryAlone);
+      mirror->poll(sim.now());
+      tick();
+    });
+  }
+
+  void commit(ObjectId oid, std::string_view value) {
+    const ValidationTs seq = ++committed;
+    std::vector<log::Record> records;
+    records.push_back(log::Record::write_image(seq, oid, val(value)));
+    records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
+    primary_store.upsert(oid, val(value), seq * 1000);
+    writer.submit(seq, std::move(records), {});
+  }
+
+  std::map<ObjectId, storage::Value> contents(storage::ObjectStore& store) {
+    std::map<ObjectId, storage::Value> out;
+    store.for_each([&](ObjectId oid, const storage::ObjectRecord& r) {
+      out.emplace(oid, r.value);
+    });
+    return out;
+  }
+
+  ValidationTs committed = 0;
+};
+
+void join_survives_one_lost(MsgType dropped) {
+  FaultyJoinRig rig(dropped);
+  for (int i = 0; i < 4; ++i) rig.commit(100 + i, "before");
+  rig.mirror->request_join(0);
+  // Commits keep landing while the join runs, including after the serve.
+  for (int i = 0; i < 20; ++i) {
+    rig.sim.run_until(rig.sim.now() + Duration::micros(250));
+    rig.commit(200 + i % 5, "during-" + std::to_string(i));
+  }
+  rig.sim.run_until(rig.sim.now() + Duration::seconds(1));
+
+  EXPECT_EQ(rig.dropped_frames, 1);
+  EXPECT_TRUE(rig.synced);
+  EXPECT_FALSE(rig.mirror->join_in_progress());
+  EXPECT_EQ(rig.writer.mode(), LogMode::kMirror);
+  EXPECT_EQ(rig.mirror->stats().join_retries, 1u);
+  EXPECT_EQ(rig.primary->snapshots_served(), 1u);
+  EXPECT_EQ(rig.mirror->applied_seq(), rig.committed);
+  EXPECT_EQ(rig.contents(rig.mirror_store), rig.contents(rig.primary_store));
+
+  // The pair is live: a commit now waits for, and gets, the mirror's ack.
+  rig.commit(300, "after");
+  rig.sim.run_until(rig.sim.now() + Duration::millis(50));
+  EXPECT_EQ(rig.writer.pending_acks(), 0u);
+  EXPECT_EQ(rig.mirror->applied_seq(), rig.committed);
+}
+
+TEST(Replication, JoinSurvivesLostInstallReport) {
+  join_survives_one_lost(MsgType::kSnapshotInstalled);
+}
+
+TEST(Replication, JoinSurvivesLostJoinComplete) {
+  join_survives_one_lost(MsgType::kJoinComplete);
 }
 
 TEST(Replication, TakeoverAppliesStagedAndDropsOpen) {
