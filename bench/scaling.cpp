@@ -1,18 +1,10 @@
-// Multicore scaling of the primary (DESIGN.md §11, §13): sweep the worker
-// count 1 -> 8 over the paper's number-translation workload and report
-// committed throughput, commit latency tails, seqlock retries, reader
-// fences and commit-mutex wait per point. Two mixes per sweep: the paper's
-// read-heavy service-provision mix (lock-free read phase: 4 workers carry
-// at least 2x the committed throughput of 1) and a write-heavy mix that
-// exercises the parallel commit path — per-worker redo buffers and the
-// epoch sealer keep lock_wait_ms flat where the serial funnel grew it.
-//
-// A third sweep covers the other end of the wire (DESIGN.md §14): the
-// mirror's epoch-parallel apply at widths 1/2/4 over a write-heavy redo
-// stream. The virtual-time half proves the ack-floor lag stays bounded
-// (apply_lag_max) and the wave accounting is width-independent
-// (apply_parallelism, conflict_cuts); the wall-clock half measures the raw
-// ApplyPool drain rate on real threads.
+// Worker scaling of the primary (DESIGN.md §11): sweep the worker count
+// 1 -> 8 over the paper's number-translation workload and report committed
+// throughput, commit latency tails, seqlock retries, reader fences and
+// commit-mutex wait per point. Two mixes per sweep: the paper's read-heavy
+// service-provision mix and a write-heavy mix. Every engine step runs
+// under the node's commit mutex, so extra workers cannot add throughput;
+// the sweep shows what they cost (lock_wait_ms, speedup_vs_1 below 1).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -24,11 +16,7 @@
 #include "rodain/common/stats.hpp"
 #include "rodain/exp/args.hpp"
 #include "rodain/exp/report.hpp"
-#include "rodain/net/sim_link.hpp"
 #include "rodain/obs/obs.hpp"
-#include "rodain/repl/apply_pool.hpp"
-#include "rodain/repl/mirror.hpp"
-#include "rodain/repl/primary.hpp"
 #include "rodain/rt/node.hpp"
 #include "rodain/workload/number_translation.hpp"
 
@@ -53,8 +41,6 @@ struct SweepPoint {
   std::uint64_t seqlock_retries{0};
   std::uint64_t rehash_fences{0};
   double lock_wait_ms{0};
-  std::uint64_t epoch_seals{0};
-  std::uint64_t intent_conflicts{0};
 };
 
 double timer_total_ms(const LatencyHistogram& h) {
@@ -86,13 +72,9 @@ SweepPoint run_point(std::size_t workers, const Mix& mix,
   obs::Counter& retries = obs::metrics().counter("engine.read_retries");
   obs::Counter& fences = obs::metrics().counter("store.rehash_fences");
   obs::Timer& mu_wait = obs::metrics().timer("node.commit_mu_wait");
-  obs::Counter& seals = obs::metrics().counter("node.epoch_seals");
-  obs::Counter& conflicts = obs::metrics().counter("engine.intent_conflicts");
   const std::uint64_t retries0 = retries.value();
   const std::uint64_t fences0 = fences.value();
   const double wait0_ms = timer_total_ms(mu_wait.merged());
-  const std::uint64_t seals0 = seals.value();
-  const std::uint64_t conflicts0 = conflicts.value();
 
   // Closed loop: 2 clients per worker keep every worker fed without the
   // open-loop overload machinery entering the picture.
@@ -136,8 +118,6 @@ SweepPoint run_point(std::size_t workers, const Mix& mix,
   point.seqlock_retries = retries.value() - retries0;
   point.rehash_fences = fences.value() - fences0;
   point.lock_wait_ms = timer_total_ms(mu_wait.merged()) - wait0_ms;
-  point.epoch_seals = seals.value() - seals0;
-  point.intent_conflicts = conflicts.value() - conflicts0;
   node.stop();
   return point;
 }
@@ -160,163 +140,7 @@ void report_point(exp::BenchReport& rep, const Mix& mix, const SweepPoint& p,
   rep.field("seqlock_retries", static_cast<std::int64_t>(p.seqlock_retries));
   rep.field("rehash_fences", static_cast<std::int64_t>(p.rehash_fences));
   rep.field("lock_wait_ms", p.lock_wait_ms);
-  rep.field("epoch_seals", static_cast<std::int64_t>(p.epoch_seals));
-  rep.field("intent_conflicts",
-            static_cast<std::int64_t>(p.intent_conflicts));
   rep.field("speedup_vs_1", speedup);
-}
-
-// ---- Mirror-side parallel apply sweep (DESIGN.md §14) -------------------
-
-struct MirrorApplyPoint {
-  std::size_t workers{0};
-  std::uint64_t txns{0};
-  /// Max (highest submitted seq - mirror applied floor) over periodic
-  /// virtual-time samples: how far the mirror trailed the primary.
-  std::uint64_t apply_lag_max{0};
-  std::uint64_t apply_lag_final{0};
-  double apply_parallelism{0};
-  std::uint64_t waves{0};
-  std::uint64_t parallel_txns{0};
-  std::uint64_t conflict_cuts{0};
-  std::uint64_t corrupt_txns{0};
-  /// Wall-clock ApplyPool drain rate over the same released stream.
-  double apply_txns_per_sec{0};
-};
-
-/// The write-heavy redo stream both halves of the sweep replay: 4 writes
-/// per transaction over a small oid pool (plenty of footprint conflicts).
-std::vector<log::ReleasedTxn> make_apply_stream(std::size_t n,
-                                                std::uint64_t seed) {
-  const ObjectId pool = std::max<std::size_t>(n / 4, 64);
-  Rng rng(seed);
-  std::vector<log::ReleasedTxn> txns;
-  txns.reserve(n);
-  for (ValidationTs seq = 1; seq <= n; ++seq) {
-    log::ReleasedTxn t;
-    t.seq = seq;
-    t.txn = seq;
-    for (int w = 0; w < 4; ++w) {
-      const ObjectId oid = 1 + rng.next_u64() % pool;
-      t.records.push_back(log::Record::write_image(
-          seq, oid, storage::Value{"v" + std::to_string(seq)}));
-    }
-    t.records.push_back(log::Record::commit(seq, seq, seq * 10 + 1, 4));
-    txns.push_back(std::move(t));
-  }
-  return txns;
-}
-
-MirrorApplyPoint run_mirror_apply(std::size_t workers,
-                                  const exp::BenchArgs& args) {
-  const std::size_t n = std::max<std::size_t>(args.txns, 64);
-  const auto stream = make_apply_stream(n, args.seed);
-
-  // Virtual-time half: primary ships the stream in group-commit batches,
-  // the mirror applies epoch-at-a-time; sample the ack-floor lag.
-  sim::Simulation sim;
-  net::SimLink link{sim, {}};
-  storage::ObjectStore pstore{4096};
-  storage::ObjectStore mstore{4096};
-  log::MemoryLogStorage pdisk;
-  log::MemoryLogStorage mdisk;
-  log::LogWriter writer{LogMode::kOff, &pdisk, nullptr};
-  repl::PrimaryReplicator::Hooks hooks;
-  repl::PrimaryReplicator primary(link.end_a(), sim, pstore, writer, hooks);
-  writer.set_shipper(&primary);
-  repl::MirrorService::Options options;
-  options.store_to_disk = true;
-  options.apply_workers = workers;
-  repl::MirrorService mirror(mstore, &mdisk, link.end_b(), sim, options);
-  mirror.attach_synced(1);
-  writer.set_mode(LogMode::kMirror);
-  log::LogWriter::BatchOptions batch;
-  batch.max_txns = 8;
-  batch.max_delay = Duration::micros(200);
-  writer.configure_batching(&sim, batch, [&](Duration d) {
-    sim.schedule_after(d, [&] { writer.flush_batch(); });
-  });
-
-  ValidationTs last_submitted = 0;
-  std::uint64_t lag_max = 0;
-  constexpr std::int64_t kArrivalUs = 20;  // 50k txn/s offered
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const log::ReleasedTxn& t = stream[i];
-    sim.schedule_at(
-        TimePoint{static_cast<std::int64_t>(i + 1) * kArrivalUs}, [&, i] {
-          std::vector<log::Record> records = stream[i].records;
-          writer.submit(stream[i].seq, std::move(records), {});
-          last_submitted = stream[i].seq;
-        });
-    (void)t;
-  }
-  const std::int64_t horizon =
-      static_cast<std::int64_t>(n) * kArrivalUs + 50000;
-  for (std::int64_t at = 500; at <= horizon; at += 500) {
-    sim.schedule_at(TimePoint{at}, [&] {
-      const ValidationTs applied = mirror.applied_seq();
-      if (last_submitted > applied) {
-        lag_max = std::max<std::uint64_t>(lag_max, last_submitted - applied);
-      }
-    });
-  }
-  sim.run();
-
-  MirrorApplyPoint point;
-  point.workers = workers;
-  point.txns = mirror.stats().txns_applied;
-  point.apply_lag_max = lag_max;
-  point.apply_lag_final = last_submitted - mirror.applied_seq();
-  point.apply_parallelism = mirror.apply_parallelism();
-  point.waves = mirror.apply_stats().waves;
-  point.parallel_txns = mirror.apply_stats().parallel_txns;
-  point.conflict_cuts = mirror.apply_stats().conflict_cuts;
-  point.corrupt_txns = mirror.stats().corrupt_txns;
-
-  // Wall-clock half: drain the identical stream through a bare pool in
-  // 8-transaction epochs (the batch size above) against a fresh copy.
-  storage::ObjectStore wall_store{4096};
-  repl::ApplyPool pool(workers);
-  auto apply = [&wall_store](const log::ReleasedTxn& t) {
-    const ValidationTs serial_ts = t.records.back().serial_ts;
-    for (const log::Record& r : t.records) {
-      if (r.type == log::RecordType::kWriteImage) {
-        wall_store.upsert(r.oid, r.after, serial_ts);
-      }
-    }
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t begin = 0;
-  while (begin < stream.size()) {
-    const std::size_t end = std::min(begin + 8, stream.size());
-    std::vector<log::ReleasedTxn> epoch(stream.begin() + begin,
-                                        stream.begin() + end);
-    pool.apply(epoch, apply);
-    begin = end;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  point.apply_txns_per_sec =
-      secs > 0 ? static_cast<double>(stream.size()) / secs : 0.0;
-  return point;
-}
-
-void report_mirror_apply(exp::BenchReport& rep, const MirrorApplyPoint& p) {
-  char label[48];
-  std::snprintf(label, sizeof(label), "mirror_apply workers=%zu", p.workers);
-  rep.begin_result(label);
-  rep.field("workers", static_cast<std::int64_t>(p.workers));
-  rep.field("txns", static_cast<std::int64_t>(p.txns));
-  rep.field("apply_lag_max", static_cast<std::int64_t>(p.apply_lag_max));
-  rep.field("apply_lag_final", static_cast<std::int64_t>(p.apply_lag_final));
-  rep.field("apply_parallelism", p.apply_parallelism);
-  rep.field("apply_waves", static_cast<std::int64_t>(p.waves));
-  rep.field("apply_parallel_txns",
-            static_cast<std::int64_t>(p.parallel_txns));
-  rep.field("apply_conflict_cuts",
-            static_cast<std::int64_t>(p.conflict_cuts));
-  rep.field("corrupt_txns", static_cast<std::int64_t>(p.corrupt_txns));
-  rep.field("apply_txns_per_sec", p.apply_txns_per_sec);
 }
 
 }  // namespace
@@ -336,18 +160,16 @@ int main(int argc, char** argv) {
   rep.set("write_fraction_heavy", 0.6);
   rep.set("hardware_concurrency", static_cast<std::int64_t>(cores));
 
-  std::printf("=== Multicore primary: worker sweep over number translation ===\n");
+  std::printf("=== Primary: worker sweep over number translation ===\n");
   std::printf(
       "    (CostModel::zero, logging off, %zu txns per point, %zu cores)\n",
       args.txns, cores);
   if (cores < 4) {
     std::printf(
-        "    NOTE: fewer than 4 cores — the sweep is oversubscribed and the "
-        "speedup targets do not apply on this host.\n");
+        "    NOTE: fewer than 4 cores — the sweep is oversubscribed.\n");
   }
 
-  // Legacy read-heavy mix keeps its unprefixed labels; the write-heavy mix
-  // is the parallel-commit-path stressor (DESIGN.md §13).
+  // Legacy read-heavy mix keeps its unprefixed labels.
   const Mix mixes[] = {
       {"", 0.1, 8, 2},
       {"write_heavy", 0.6, 4, 4},
@@ -371,13 +193,10 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "  workers=%zu  %9.0f txn/s  p99=%7.3fms  speedup=%.2fx  "
-          "retries=%llu  fences=%llu  mu_wait=%.1fms  seals=%llu  "
-          "conflicts=%llu\n",
+          "retries=%llu  fences=%llu  mu_wait=%.1fms\n",
           workers, p.tps, p.latency.quantile(0.99).to_ms(), speedup,
           static_cast<unsigned long long>(p.seqlock_retries),
-          static_cast<unsigned long long>(p.rehash_fences), p.lock_wait_ms,
-          static_cast<unsigned long long>(p.epoch_seals),
-          static_cast<unsigned long long>(p.intent_conflicts));
+          static_cast<unsigned long long>(p.rehash_fences), p.lock_wait_ms);
       report_point(rep, mix, p, speedup);
     }
   }
@@ -385,30 +204,9 @@ int main(int argc, char** argv) {
   rep.set("wh_speedup_at_8", wh_speedup_at_8);
   rep.set("wh_mu_wait_at_8_ms", wh_mu_wait_at_8);
 
-  std::printf("=== Mirror parallel apply: width sweep over a write-heavy "
-              "redo stream ===\n");
-  std::int64_t mirror_lag_max_at_4 = 0;
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const MirrorApplyPoint p = run_mirror_apply(workers, args);
-    if (workers == 4) {
-      mirror_lag_max_at_4 = static_cast<std::int64_t>(p.apply_lag_max);
-    }
-    std::printf(
-        "  apply_workers=%zu  lag_max=%llu txns  lag_final=%llu  "
-        "wave_width=%.2f  cuts=%llu  pool=%.0f txn/s\n",
-        workers, static_cast<unsigned long long>(p.apply_lag_max),
-        static_cast<unsigned long long>(p.apply_lag_final),
-        p.apply_parallelism, static_cast<unsigned long long>(p.conflict_cuts),
-        p.apply_txns_per_sec);
-    report_mirror_apply(rep, p);
-  }
-  rep.set("mirror_lag_max_at_4", mirror_lag_max_at_4);
-
-  std::printf("  -> 4-worker speedup over 1 worker (read-heavy): %.2fx "
-              "(target >= 2x)\n",
+  std::printf("  -> 4-worker speedup over 1 worker (read-heavy): %.2fx\n",
               speedup_at_4);
-  std::printf("  -> 8-worker speedup over 1 worker (write-heavy): %.2fx "
-              "(target >= 1.5x on 8+ cores)\n",
+  std::printf("  -> 8-worker speedup over 1 worker (write-heavy): %.2fx\n",
               wh_speedup_at_8);
   rep.write_file();
   return 0;

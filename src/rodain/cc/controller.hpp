@@ -70,12 +70,9 @@ class ConcurrencyController {
 
   /// Read-time hook. `rec` is the committed record (nullptr if the object
   /// does not exist). OCC variants record the observation; 2PL acquires a
-  /// shared lock. `optimistic` marks a seqlock-snapshot read taken outside
-  /// the commit mutex (only when lock_free_read_phase() is true): the
-  /// controller tags the read-set entry so validation re-checks it.
+  /// shared lock.
   virtual AccessResult on_read(txn::Transaction& t, ObjectId oid,
-                               const storage::ObjectRecord* rec,
-                               bool optimistic = false) = 0;
+                               const storage::ObjectRecord* rec) = 0;
 
   /// Write-intent hook (the update itself goes to the private copy).
   virtual AccessResult on_write(txn::Transaction& t, ObjectId oid,
@@ -106,12 +103,6 @@ class ConcurrencyController {
 
   /// Protocol-wide restart counter (diagnostics; engine keeps its own too).
   [[nodiscard]] virtual std::size_t active_count() const = 0;
-
-  /// Whether read-phase steps may run outside the engine's commit mutex
-  /// (DESIGN.md §11). OCC variants return true — the read phase touches
-  /// only committed state and private copies; 2PL's lock table mutates on
-  /// every access, so it stays serial.
-  [[nodiscard]] virtual bool lock_free_read_phase() const { return false; }
 };
 
 enum class Protocol : std::uint8_t {

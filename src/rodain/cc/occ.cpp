@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
 
 namespace rodain::cc {
 
@@ -11,13 +10,8 @@ void OccController::on_begin(txn::Transaction& t) {
 }
 
 AccessResult OccController::on_read(txn::Transaction& t, ObjectId oid,
-                                    const storage::ObjectRecord* rec,
-                                    bool optimistic) {
+                                    const storage::ObjectRecord* rec) {
   const ValidationTs observed = rec ? rec->wts_relaxed() : 0;
-  // The owner may be in an unlocked read phase while a validator (holding
-  // the commit mutex) scans this transaction's sets in Step 2; the leaf
-  // mutex makes scan-vs-append atomic.
-  std::lock_guard lock(t.access_mu());
   // Re-read of an object whose committed version changed since the first
   // observation: the store is single-version, so this transaction would see
   // two different versions of one object — no serialization point exists.
@@ -31,7 +25,7 @@ AccessResult OccController::on_read(txn::Transaction& t, ObjectId oid,
       return {};
     }
   }
-  t.note_read(oid, observed, optimistic);
+  t.note_read(oid, observed);
   if (policy_.eager_self_adjust) {
     // OCC-TI clamps the interval the moment the read happens. The committed
     // writer may validate later with a *smaller* logical timestamp than the
@@ -46,7 +40,6 @@ AccessResult OccController::on_write(txn::Transaction& t, ObjectId oid,
                                      const storage::ObjectRecord* rec) {
   (void)oid;
   if (policy_.eager_self_adjust && rec) {
-    std::lock_guard lock(t.access_mu());
     t.interval().after(rec->rts_relaxed());
     t.interval().after(rec->wts_relaxed());
   }
@@ -86,27 +79,9 @@ ValidationResult OccController::validate(txn::Transaction& t,
   // floors too; re-applying fresher values here is strictly tighter.)
   txn::TsInterval iv = t.interval();
   for (const txn::ReadEntry& r : t.read_set()) {
-    if (r.optimistic) {
-      // Seqlock-snapshot read taken outside the commit mutex. A writer that
-      // validated *while this entry was being appended* may have missed it
-      // in its forward scan (Step 2 below) — the one ordering edge forward
-      // validation cannot see. Committed wts only grows (writers floor
-      // their ts above it in this loop), so an unchanged wts proves no
-      // writer installed over the observed version and the read is still
-      // the committed state; a changed wts is indistinguishable from a
-      // missed adjustment, so restart.
-      const auto ts = store.timestamps_of(r.oid);
-      if ((ts ? ts->second : 0) != r.observed_wts) {
-        result.ok = false;
-        return result;
-      }
-    }
     iv.after(r.observed_wts);
   }
   for (const txn::WriteEntry& w : t.write_set()) {
-    // timestamps_of is parallel-safe: on the parallel commit path this
-    // committer holds write intents on its write set, so no foreign
-    // installer can be mid-update on these records.
     if (const auto ts = store.timestamps_of(w.oid)) {
       iv.after(ts->first);   // committed readers
       iv.after(ts->second);  // committed writers
@@ -131,13 +106,11 @@ ValidationResult OccController::validate(txn::Transaction& t,
   // A read-only validator adjusts nobody: it wrote nothing (no reader of
   // its writes, no write-write edge), and writers into its read set
   // serialize after it via the object rts floors on_installed maintains.
-  // Skipping the scan keeps read-heavy multicore validation O(read set).
+  // Skipping the scan keeps read-heavy validation O(read set).
   if (!t.write_set().empty()) {
     for (auto& [id, other] : active_) {
       if (id == t.id()) continue;
       txn::Transaction& o = *other;
-      // o's owner may be appending to its sets in an unlocked read phase.
-      std::lock_guard o_lock(o.access_mu());
       bool conflict_read_my_write = false;   // o read something I wrote
       bool conflict_wrote_my_read = false;   // o writes something I read
       bool conflict_wrote_my_write = false;  // write-write overlap
@@ -187,8 +160,8 @@ ValidationResult OccController::validate(txn::Transaction& t,
 void OccController::on_installed(txn::Transaction& t,
                                  storage::ObjectStore& store) {
   const ValidationTs ts = t.serial_ts();
-  // Atomic bumps: optimistic readers snapshot rts/wts outside the commit
-  // mutex, so these stores may race their relaxed loads.
+  // Atomic bumps: the db-layer optimistic fast path snapshots rts/wts
+  // without the commit mutex.
   for (const txn::ReadEntry& r : t.read_set()) {
     if (storage::ObjectRecord* rec = store.find_mutable(r.oid)) {
       rec->bump_rts(ts);

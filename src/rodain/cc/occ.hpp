@@ -31,8 +31,7 @@ class OccController final : public ConcurrencyController {
   [[nodiscard]] std::string_view name() const override { return name_; }
   void on_begin(txn::Transaction& t) override;
   AccessResult on_read(txn::Transaction& t, ObjectId oid,
-                       const storage::ObjectRecord* rec,
-                       bool optimistic = false) override;
+                       const storage::ObjectRecord* rec) override;
   AccessResult on_write(txn::Transaction& t, ObjectId oid,
                         const storage::ObjectRecord* rec) override;
   ValidationResult validate(txn::Transaction& t, ValidationTs next_seq,
@@ -40,9 +39,6 @@ class OccController final : public ConcurrencyController {
   void on_installed(txn::Transaction& t, storage::ObjectStore& store) override;
   void on_abort(txn::Transaction& t) override;
   [[nodiscard]] std::size_t active_count() const override { return active_.size(); }
-  /// OCC read phases touch only committed state + private copies (paper §3),
-  /// so they may run outside the commit mutex.
-  [[nodiscard]] bool lock_free_read_phase() const override { return true; }
 
  private:
   /// Choose the final serialization timestamp for a transaction whose

@@ -7,9 +7,7 @@ void TwoPlController::on_begin(txn::Transaction& t) {
 }
 
 AccessResult TwoPlController::on_read(txn::Transaction& t, ObjectId oid,
-                                      const storage::ObjectRecord* rec,
-                                      bool optimistic) {
-  (void)optimistic;  // 2PL never runs outside the commit mutex
+                                      const storage::ObjectRecord* rec) {
   auto r = lock_manager_.acquire(oid, t.id(), LockMode::kShared, t.priority());
   if (r.decision == Access::kGranted) {
     t.note_read(oid, rec ? rec->wts : 0);

@@ -16,8 +16,7 @@ class TwoPlController final : public ConcurrencyController {
 
   void on_begin(txn::Transaction& t) override;
   AccessResult on_read(txn::Transaction& t, ObjectId oid,
-                       const storage::ObjectRecord* rec,
-                       bool optimistic = false) override;
+                       const storage::ObjectRecord* rec) override;
   AccessResult on_write(txn::Transaction& t, ObjectId oid,
                         const storage::ObjectRecord* rec) override;
   ValidationResult validate(txn::Transaction& t, ValidationTs next_seq,

@@ -3,7 +3,8 @@
 //
 // Drivers own time and concurrency: the simulator charges each step's CPU
 // cost on a virtual preemptive-EDF processor, while the real-time runtime
-// executes steps on worker threads. The engine itself only mutates state:
+// executes steps on worker threads, one step at a time under its commit
+// mutex. The engine is not thread-safe; it only mutates state:
 // it runs reads against the store, keeps deferred-write copies, validates
 // through the pluggable concurrency controller, installs after-images, and
 // hands redo records to the Log Writer.
@@ -13,21 +14,15 @@
 //   wait for the commit-record ack  ->  final commit step.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "rodain/cc/controller.hpp"
-#include "rodain/cc/intents.hpp"
 #include "rodain/common/clock.hpp"
 #include "rodain/common/types.hpp"
 #include "rodain/log/redo_index.hpp"
-#include "rodain/log/worker_buffer.hpp"
 #include "rodain/log/writer.hpp"
 #include "rodain/storage/btree.hpp"
 #include "rodain/storage/object_store.hpp"
@@ -64,14 +59,11 @@ struct EngineConfig {
   /// real-time node passes its steady clock, the simulator passes itself.
   /// Null disables stage accounting.
   const Clock* clock{nullptr};
-  /// Parallel commit path (DESIGN.md §13): validation + install run under
-  /// per-record write intents and the engine's validation mutex instead of
-  /// the driver's commit mutex, and redo records flow through the epoch
-  /// sealer. Forced off for controllers without a lock-free read phase
-  /// (2PL). The flag is static for an engine's lifetime — the *driver*
-  /// decides per transaction whether to commit outside its mutex
-  /// (parallel_commit_active()), but the locking discipline never changes
-  /// underneath in-flight transactions.
+  /// Inert: nothing reads it. Every engine step runs in its driver's
+  /// serial context (rt::Node's commit mutex, the simulator's one thread),
+  /// so there is no parallel commit path to switch on. The field stays
+  /// because rtbench/rtbench.cpp assigns it, and rtbench changes only
+  /// together with the benchmark it defines.
   bool parallel_commit{false};
 };
 
@@ -111,57 +103,6 @@ class Engine {
   /// Advance the transaction by one unit of work.
   StepResult step(txn::Transaction& t);
 
-  /// Whether the controller permits read-phase steps outside the commit
-  /// mutex (OCC family; 2PL mutates its lock table on every access).
-  [[nodiscard]] bool lock_free_reads() const {
-    return cc_->lock_free_read_phase();
-  }
-
-  /// Advance one read-phase step WITHOUT the commit mutex (DESIGN.md §11).
-  /// Reads come from seqlock snapshots; CC bookkeeping goes through the
-  /// transaction's leaf mutex. Returns nullopt when the step must run
-  /// serially instead: program done (validation is next), a deferred
-  /// restart is pending, or the optimistic read exhausted its retries.
-  /// Only the owner worker may call this, with t.lock_free_executing() set.
-  [[nodiscard]] std::optional<StepResult> step_read_unlocked(
-      txn::Transaction& t);
-
-  /// Whether the parallel commit path is compiled in for this engine
-  /// (config flag, resolved against the controller's capabilities).
-  [[nodiscard]] bool parallel_commit() const { return parallel_commit_; }
-
-  /// Whether a driver may commit a transaction outside its commit mutex
-  /// right now. Recovery only deactivates (the redo index drains under the
-  /// commit mutex); it never reactivates, so a false->true transition
-  /// cannot race an in-flight serial commit.
-  [[nodiscard]] bool parallel_commit_active() const {
-    const log::RedoIndex* rec = recovery_.load(std::memory_order_acquire);
-    return parallel_commit_ && !(rec && rec->active());
-  }
-
-  /// Validate + install + append to the epoch sealer WITHOUT the driver's
-  /// commit mutex (parallel commit path). The caller owns the transaction,
-  /// which is at a read-phase boundary with its program done. The redo
-  /// entry is buffered: the driver must call seal_epoch() under its commit
-  /// mutex afterwards (kWaitLogAck results park until the sealed submit's
-  /// ack; kOff durable fires inside that seal).
-  StepResult step_commit_unlocked(txn::Transaction& t);
-
-  /// Drain the per-worker buffers and dispatch the dense seq prefix to the
-  /// LogWriter. Serial context only (the driver's commit mutex). Returns
-  /// transactions sealed.
-  std::size_t seal_epoch();
-
-  /// Install gate: committers install after-images holding it shared;
-  /// whole-store readers (checkpoint writer, join snapshots) take it
-  /// unique to see no half-installed transaction. Meaningful only when
-  /// parallel_commit() is on. Lock order: driver commit mutex -> gate.
-  [[nodiscard]] std::shared_mutex& install_gate() { return install_gate_; }
-
-  /// Per-record write intents (exposed for point-read fallbacks that must
-  /// exclude a concurrent installer on one object).
-  [[nodiscard]] cc::IntentTable& intents() { return intents_; }
-
   /// True while the transaction has not passed validation (only such
   /// transactions may be aborted — deferred writes make that free).
   [[nodiscard]] bool can_abort(const txn::Transaction& t) const;
@@ -171,63 +112,47 @@ class Engine {
 
   [[nodiscard]] txn::Transaction* find(TxnId id);
   [[nodiscard]] ValidationTs last_validation_seq() const {
-    return next_seq_.load(std::memory_order_acquire) - 1;
+    return next_seq_ - 1;
   }
 
   /// Highest seq v such that every transaction with seq <= v has installed
-  /// its after-images — the consistent snapshot boundary for join serving.
+  /// its after-images — the consistent snapshot boundary for join serving
+  /// and checkpoints. Validation and install are one step, so it is the
+  /// last validation seq.
   [[nodiscard]] ValidationTs installed_low_water() const {
-    return installed_low_water_.load(std::memory_order_acquire);
+    return last_validation_seq();
   }
-  [[nodiscard]] std::uint64_t restarts() const {
-    return restarts_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
   [[nodiscard]] cc::ConcurrencyController& controller() { return *cc_; }
   [[nodiscard]] const CostModel& costs() const { return config_.costs; }
 
   /// Continue the validation sequence after a takeover (the new primary
   /// must not reuse sequence numbers the old one already shipped).
-  void set_next_validation_seq(ValidationTs seq) {
-    next_seq_.store(seq, std::memory_order_release);
-    installed_low_water_.store(seq - 1, std::memory_order_release);
-    sealer_.reset(seq);
-  }
+  void set_next_validation_seq(ValidationTs seq) { next_seq_ = seq; }
 
-  /// Instant recovery (DESIGN.md §12): while `redo` is active, serial
-  /// fetches replay an object's deferred chain on first touch, and
-  /// optimistic read phases always fall back to the serial path (the index
-  /// mutates under the driver's commit mutex). Pass nullptr to detach; the
-  /// pointer must outlive the engine or a later detach.
-  void set_recovery(log::RedoIndex* redo) {
-    recovery_.store(redo, std::memory_order_release);
-  }
+  /// Instant recovery (DESIGN.md §12): while `redo` is active, fetches
+  /// replay an object's deferred chain on first touch. Pass nullptr to
+  /// detach; the pointer must outlive the engine or a later detach.
+  void set_recovery(log::RedoIndex* redo) { recovery_ = redo; }
 
  private:
-  // `optimistic` routes committed-state reads through seqlock snapshots and
-  // forbids engine-state mutation (restart, abort, victim dispatch): those
-  // paths set `*fallback` and leave the transaction unchanged so the caller
-  // can re-run the same pc serially under the commit mutex.
-  StepResult step_read_phase(txn::Transaction& t, bool optimistic,
-                             bool* fallback);
+  StepResult step_read_phase(txn::Transaction& t);
   StepResult step_validate(txn::Transaction& t);
   StepResult step_write_phase(txn::Transaction& t);
   StepResult step_finalize(txn::Transaction& t);
 
-  /// Committed-record fetch for one read-phase access. Serial mode returns
-  /// the store record; optimistic mode copies a seqlock snapshot into
-  /// `snap` and returns &snap (nullptr on miss; sets `*fallback` and
-  /// returns nullptr on retry exhaustion).
-  const storage::ObjectRecord* fetch(ObjectId oid, storage::ObjectRecord& snap,
-                                     bool optimistic, bool* fallback);
+  /// Committed-record fetch for one read-phase access (nullptr on miss).
+  const storage::ObjectRecord* fetch(ObjectId oid);
 
-  StepResult exec_read(txn::Transaction& t, ObjectId oid, Duration base_cost,
-                       bool optimistic, bool* fallback);
-  StepResult exec_update(txn::Transaction& t, const txn::UpdateOp& op,
-                         bool optimistic, bool* fallback);
-  StepResult exec_insert(txn::Transaction& t, const txn::InsertOp& op,
-                         bool optimistic, bool* fallback);
-  StepResult exec_delete(txn::Transaction& t, const txn::DeleteOp& op,
-                         bool optimistic, bool* fallback);
+  StepResult exec_read(txn::Transaction& t, ObjectId oid, Duration base_cost);
+  StepResult exec_update(txn::Transaction& t, const txn::UpdateOp& op);
+  StepResult exec_insert(txn::Transaction& t, const txn::InsertOp& op);
+  StepResult exec_delete(txn::Transaction& t, const txn::DeleteOp& op);
+  /// Park, restart or continue after a controller access decision. Returns
+  /// nullopt when the access was granted and the step goes on.
+  std::optional<StepResult> resolve_access(txn::Transaction& t,
+                                           cc::AccessResult access,
+                                           Duration cost);
 
   /// Stamp the transaction's lifecycle stage clock (no-op without a
   /// driver clock or with obs disabled).
@@ -235,29 +160,13 @@ class Engine {
 
   /// Reset a transaction to its read phase (self restart or victim).
   void restart(txn::Transaction& t);
-  void restart_unsynchronized(txn::Transaction& t);
   void restart_victims(const std::vector<TxnId>& victims);
   /// Self restart unless the budget is exhausted (then terminal abort).
   StepResult restart_or_abort(txn::Transaction& t, Duration cost);
 
-  /// The unified commit step: validate under per-record intents + the
-  /// validation mutex, install under the gate, append to the epoch sealer.
-  /// `seal_inline` (serial contexts: the simulator, a driver holding its
-  /// commit mutex) seals immediately, so kOff configurations fire their
-  /// durable callback before this returns — matching the serial path.
-  StepResult commit_transaction(txn::Transaction& t, bool seal_inline);
-
   /// Marshal the redo stream (after-images + commit record, paper §3).
   [[nodiscard]] std::vector<log::Record> marshal_records(
       const txn::Transaction& t) const;
-
-  /// Serializes cc state, txns_, next_seq_ and the install bookkeeping
-  /// against concurrent committers — only when the parallel path is
-  /// compiled in; a no-op lock otherwise, so serial drivers pay nothing.
-  [[nodiscard]] std::unique_lock<std::mutex> maybe_validate_lock() {
-    return parallel_commit_ ? std::unique_lock<std::mutex>(validate_mu_)
-                            : std::unique_lock<std::mutex>();
-  }
 
   EngineConfig config_;
   storage::ObjectStore& store_;
@@ -265,26 +174,11 @@ class Engine {
   log::LogWriter& log_writer_;
   Hooks hooks_;
   std::unique_ptr<cc::ConcurrencyController> cc_;
-  // Attached/detached under the driver's commit mutex but consulted by
-  // unlocked read phases and parallel_commit_active(), so the pointer
-  // itself is atomic. Chain mutation stays commit-mutex-serial.
-  std::atomic<log::RedoIndex*> recovery_{nullptr};
-  void mark_installed(ValidationTs seq);
+  log::RedoIndex* recovery_{nullptr};
 
   std::unordered_map<TxnId, txn::Transaction*> txns_;
-  std::atomic<ValidationTs> next_seq_{1};
-  std::atomic<ValidationTs> installed_low_water_{0};
-  std::set<ValidationTs> installed_gap_;  ///< installed above the low-water
-  std::atomic<std::uint64_t> restarts_{0};
-
-  /// Parallel commit path (DESIGN.md §13). parallel_commit_ is the config
-  /// flag resolved against the controller (2PL opts out); the mutexes and
-  /// tables below are only contended when it is on.
-  bool parallel_commit_{false};
-  std::mutex validate_mu_;
-  std::shared_mutex install_gate_;
-  cc::IntentTable intents_;
-  log::EpochSealer sealer_;
+  ValidationTs next_seq_{1};
+  std::uint64_t restarts_{0};
 };
 
 }  // namespace rodain::engine

@@ -46,8 +46,8 @@ class RedoIndex {
   Status build(std::span<const Record> records, ValidationTs already_applied);
 
   /// True while any deferred write remains unapplied. Lock-free: this is
-  /// the only member unlocked threads may consult (optimistic read phases
-  /// check it to decide whether to fall back to the serial path).
+  /// the only member unlocked threads may consult (read_committed checks
+  /// it to decide whether to fall back to a transaction).
   [[nodiscard]] bool active() const {
     return pending_writes_.load(std::memory_order_acquire) != 0;
   }

@@ -15,8 +15,8 @@
 //     in an epoch buffer (still popped in dense seq order) and the owner
 //     drains them with flush_epoch(), typically once per delivered wire
 //     batch. The whole epoch carries the same ordering proof the one-at-a-
-//     time path did, which is what lets the mirror apply non-conflicting
-//     transactions of one epoch concurrently (repl::ApplyPool).
+//     time path did; the mirror applies it in seq order and acks only the
+//     floor it has applied.
 #pragma once
 
 #include <cstdint>

@@ -54,7 +54,7 @@ LogWriter::LogWriter(LogMode mode, LogStorage* disk, Shipper* shipper)
 void LogWriter::set_mode(LogMode mode) {
   assert(mode != LogMode::kDirectDisk || disk_ != nullptr);
   assert(mode != LogMode::kMirror || shipper_ != nullptr);
-  mode_.store(mode, std::memory_order_relaxed);
+  mode_ = mode;
 }
 
 void LogWriter::configure_batching(
@@ -94,11 +94,15 @@ void LogWriter::submit(ValidationTs seq, std::vector<Record> records,
       batch_records_.insert(batch_records_.end(), records.begin(),
                             records.end());
       batch_stages_.push_back(stages);
+      const bool first_unacked = pending_.empty();
       pending_.emplace(seq,
                        Pending{std::move(records), std::move(on_durable),
                                shipped_at,
                                clock_ ? clock_->now() : TimePoint{}, stages});
       wm().pending_acks.set(static_cast<double>(pending_.size()));
+      if (first_unacked && on_ack_deadline_) {
+        if (const auto at = ack_deadline()) on_ack_deadline_(*at);
+      }
       ++batch_txns_;
       batch_bytes_ += bytes;
       wm().batch_buffered.set(static_cast<double>(batch_txns_));
@@ -269,11 +273,13 @@ void LogWriter::trim_tail() {
   }
 }
 
-void LogWriter::configure_ack_timeout(const Clock* clock, Duration timeout,
-                                      std::function<void()> on_timeout) {
+void LogWriter::configure_ack_timeout(
+    const Clock* clock, Duration timeout, std::function<void()> on_timeout,
+    std::function<void(TimePoint)> on_deadline) {
   clock_ = clock;
   ack_timeout_ = timeout;
   on_ack_timeout_ = std::move(on_timeout);
+  on_ack_deadline_ = std::move(on_deadline);
 }
 
 std::optional<TimePoint> LogWriter::ack_deadline() const {

@@ -20,7 +20,6 @@
 // kOff: logging disabled (the paper's "No logs" optimal comparison).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <optional>
@@ -72,12 +71,7 @@ class LogWriter {
   /// kDirectDisk; `shipper` may be null only if never switched to kMirror.
   LogWriter(LogMode mode, LogStorage* disk, Shipper* shipper);
 
-  [[nodiscard]] LogMode mode() const {
-    // Relaxed: parallel committers read the mode off-mutex for cost
-    // accounting; every dispatch decision happens under the driver's
-    // commit mutex, where set_mode also runs.
-    return mode_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] LogMode mode() const { return mode_; }
   void set_mode(LogMode mode);
 
   /// Late wiring for the replication layer (the replicator needs the writer
@@ -112,9 +106,13 @@ class LogWriter {
   /// Arm the ack timeout: when check_ack_timeouts() finds the oldest
   /// unacknowledged shipment older than `timeout`, `on_timeout` fires (the
   /// node escalates to on_mirror_lost so committers are never stranded
-  /// behind a silently dead link).
+  /// behind a silently dead link). `on_deadline(at)`, when set, fires once
+  /// per first unacknowledged shipment: when ack_deadline() goes from
+  /// nullopt to `at`. Later shipments only ever move the deadline later,
+  /// so a host that polls check_ack_timeouts() needs no other wake-up.
   void configure_ack_timeout(const Clock* clock, Duration timeout,
-                             std::function<void()> on_timeout);
+                             std::function<void()> on_timeout,
+                             std::function<void(TimePoint)> on_deadline = {});
 
   /// Poll from the node's heartbeat tick. Returns true when the timeout
   /// fired this call.
@@ -230,13 +228,14 @@ class LogWriter {
   /// Evict past kTailRetention, honouring (and bounding) the pin.
   void trim_tail();
 
-  std::atomic<LogMode> mode_;
+  LogMode mode_;
   LogStorage* disk_;
   Shipper* shipper_;
   const Clock* clock_{nullptr};
   const Clock* stage_clock_{nullptr};
   Duration ack_timeout_{Duration::zero()};
   std::function<void()> on_ack_timeout_;
+  std::function<void(TimePoint)> on_ack_deadline_;
   std::map<ValidationTs, Pending> pending_;  // unacked, in seq order
   std::map<ValidationTs, std::vector<Record>> tail_;  // recent submissions
   std::optional<ValidationTs> tail_pin_;

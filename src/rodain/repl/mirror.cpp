@@ -37,19 +37,9 @@ struct MirrorMetrics {
   /// Stored-log flush failures (first one marks the disk log non-dense).
   obs::Counter& disk_write_failures =
       obs::metrics().counter("repl.disk_write_failures");
-  /// Parallel apply (DESIGN.md §14): epochs drained, conflict-free waves
-  /// inside them, transactions that actually overlapped with another apply,
-  /// waves cut by a footprint conflict, and the mean wave width.
+  /// Epochs applied (DESIGN.md §14), and the release backlog at the last
+  /// one: staged commits still waiting behind a gap when it applied.
   obs::Counter& apply_epochs = obs::metrics().counter("repl.apply.epochs");
-  obs::Counter& apply_waves = obs::metrics().counter("repl.apply.waves");
-  obs::Counter& apply_parallel_txns =
-      obs::metrics().counter("repl.apply.parallel_txns");
-  obs::Counter& apply_conflict_cuts =
-      obs::metrics().counter("repl.apply.conflict_cuts");
-  obs::Gauge& apply_parallelism =
-      obs::metrics().gauge("repl.apply.parallelism");
-  /// Release backlog visible at the last epoch boundary: staged commits
-  /// still waiting behind a gap when the epoch barrier fired.
   obs::Gauge& apply_lag = obs::metrics().gauge("repl.apply.lag");
 };
 MirrorMetrics& mm() {
@@ -99,8 +89,7 @@ MirrorService::MirrorService(storage::ObjectStore& copy, log::LogStorage* disk,
                 }),
       reorderer_([this](std::vector<log::ReleasedTxn> epoch) {
         release_epoch(std::move(epoch));
-      }),
-      pool_(options_.apply_workers) {
+      }) {
   serving_last_heard_ = clock_.now();
   if (options_.write_checkpoint && options_.checkpoint_interval.is_positive()) {
     log::Checkpointer::Options ckpt;
@@ -277,7 +266,7 @@ void MirrorService::on_log_batch(std::vector<log::Record> records) {
   for (log::Record& r : records) feed(std::move(r));
   // The whole contiguous run this batch unlocked applies as ONE epoch
   // before the ack goes out, so the floor in the ack only ever names a
-  // fully-installed prefix (the epoch barrier inside release_epoch).
+  // fully-installed prefix.
   reorderer_.flush_epoch();
   if (commits > 0) send_cumulative_ack(commits);
   maybe_finish_join();  // the switch's catch-up may complete the join
@@ -304,8 +293,8 @@ void MirrorService::feed(log::Record r) {
   const std::size_t staged_before = reorderer_.staged_commits();
   // Releases are deferred into the reorderer's epoch buffer (applied when
   // the batch flushes), so "released" is detected by the expected-next
-  // floor moving — not by applied_seq_, which only advances at the epoch
-  // barrier.
+  // floor moving — not by applied_seq_, which only advances once the epoch
+  // has applied.
   const ValidationTs expected_before = reorderer_.expected_next();
   {
     obs::ScopedSpan span(obs::tracer(), obs::Phase::kReorder, r.seq);
@@ -333,10 +322,6 @@ void MirrorService::feed(log::Record r) {
 }
 
 void MirrorService::apply_txn(const log::ReleasedTxn& txn) {
-  // Runs on apply-pool threads: touch only this transaction's footprint
-  // plus internally synchronized structures (store per-record seqlocks,
-  // B+-tree writer lock). No MirrorService members — stats aggregate at
-  // the epoch barrier on the delivering thread.
   obs::ScopedSpan span(obs::tracer(), obs::Phase::kApply, txn.seq);
   // The commit record is last (the reorderer validated that); its
   // serialization timestamp stamps the writes (keeps the copy's OCC
@@ -375,32 +360,22 @@ void MirrorService::release_epoch(std::vector<log::ReleasedTxn> epoch) {
   if (obs::tracing_enabled()) {
     obs::tracer().record_instant(obs::Phase::kApplyEpoch, epoch.back().seq);
   }
-  const ApplyPool::Stats before = pool_.stats();
-  // Parallel apply with the epoch-boundary barrier: returns only when every
-  // transaction is installed, so the floor below never lies.
-  pool_.apply(epoch, [this](const log::ReleasedTxn& t) { apply_txn(t); });
-  applied_seq_ = epoch.back().seq;
   std::uint64_t writes = 0;
   for (const log::ReleasedTxn& t : epoch) {
+    apply_txn(t);
     writes += t.records.size() - 1;  // all but the commit record
   }
+  applied_seq_ = epoch.back().seq;
   stats_.txns_applied += epoch.size();
   stats_.writes_applied += writes;
   mm().txns_applied.inc(epoch.size());
   mm().writes_applied.inc(writes);
   mm().applied_seq.set(static_cast<double>(applied_seq_));
-  const ApplyPool::Stats& ps = pool_.stats();
-  mm().apply_epochs.inc(ps.epochs - before.epochs);
-  mm().apply_waves.inc(ps.waves - before.waves);
-  mm().apply_parallel_txns.inc(ps.parallel_txns - before.parallel_txns);
-  mm().apply_conflict_cuts.inc(ps.conflict_cuts - before.conflict_cuts);
-  mm().apply_parallelism.set(pool_.mean_wave_width());
+  mm().apply_epochs.inc();
   mm().apply_lag.set(static_cast<double>(reorderer_.staged_commits()));
   if (options_.store_to_disk && disk_) {
-    // Re-serialized in seq order AFTER the barrier: the stored log stays
-    // totally ordered no matter how the waves interleaved, so recovery and
-    // disk-served rejoins read the same stream a serial mirror would have
-    // written.
+    // Appended in seq order: recovery and disk-served rejoins read one
+    // totally ordered stream.
     for (const log::ReleasedTxn& t : epoch) {
       for (const log::Record& r : t.records) disk_->append(r);
     }
@@ -589,8 +564,8 @@ MirrorService::TakeoverResult MirrorService::take_over() {
   result.dropped_open = reorderer_.drop_open_txns();
   result.applied_staged = reorderer_.force_release_staged();
   result.next_seq = reorderer_.expected_next();
-  // The forced releases went into the epoch buffer: apply them (with the
-  // barrier) before the node starts serving from this copy.
+  // The forced releases went into the epoch buffer: apply them before the
+  // node starts serving from this copy.
   reorderer_.flush_epoch();
   mm().reorder_staged.set(0.0);
   mm().reorder_open.set(0.0);

@@ -10,13 +10,11 @@
 // asynchronously, off the commit path.
 //
 // Apply runs epoch-at-a-time (DESIGN.md §14): the reorderer batches each
-// contiguous released run into one epoch and ApplyPool applies its
-// non-conflicting transactions concurrently, barriering at the epoch
-// boundary, so a multi-worker primary cannot outrun its own mirror while
-// the copy stays byte-identical to serial apply. Disk appends are
-// re-serialized in seq order after the barrier, and a failed disk write
-// marks the stored log non-dense — a rejoin must then be served by live
-// encode, never from a log with holes.
+// contiguous released run into one epoch, which applies in seq order
+// before the batch's ack goes out, so the acked floor only ever names an
+// applied prefix. The epoch's records then go to the stored log in the
+// same order, and a failed disk write marks the stored log non-dense — a
+// rejoin must then be served by live encode, never from a log with holes.
 //
 // A join is two-phase (DESIGN.md §12): after installing the snapshot this
 // node reports kSnapshotInstalled, and it becomes a mirror only once the
@@ -41,7 +39,6 @@
 #include "rodain/log/checkpointer.hpp"
 #include "rodain/log/log_storage.hpp"
 #include "rodain/log/reorder.hpp"
-#include "rodain/repl/apply_pool.hpp"
 #include "rodain/repl/endpoint.hpp"
 #include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/object_store.hpp"
@@ -54,12 +51,6 @@ class MirrorService {
     /// Store the ordered log to `disk` (false reproduces the paper's
     /// Fig. 3 no-disk configurations).
     bool store_to_disk{true};
-    /// Apply width for released epochs: non-conflicting transactions of one
-    /// epoch apply concurrently on `apply_workers` threads (the delivering
-    /// thread included). <= 1 keeps the historical serial apply; the rt
-    /// node passes its worker count so the mirror keeps pace with a
-    /// parallel-commit primary (DESIGN.md §14).
-    std::size_t apply_workers{1};
     /// Invoked when a requested join finishes (snapshot installed, the
     /// primary's kJoinComplete received, and every transaction through its
     /// seq applied) — the node is now a proper Mirror.
@@ -168,13 +159,6 @@ class MirrorService {
   [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
     return endpoint_.stats();
   }
-  /// Apply-pool telemetry (epochs, waves, conflict cuts, mean width).
-  [[nodiscard]] const ApplyPool::Stats& apply_stats() const {
-    return pool_.stats();
-  }
-  [[nodiscard]] double apply_parallelism() const {
-    return pool_.mean_wave_width();
-  }
   /// False after any stored-log write failure: the on-disk log may have
   /// holes, so it must never vouch for dense coverage when a rejoin is
   /// served from disk (the node that takes over consults this before
@@ -188,12 +172,10 @@ class MirrorService {
   /// answers (telemetry only). Skipped while the floor is still 0.
   void send_cumulative_ack(std::size_t commits_covered);
   void feed(log::Record r);
-  /// Drain the reorderer's released epoch through the apply pool, then
-  /// re-serialize it to disk. The barrier inside makes applied_seq_ honest:
-  /// it only ever names a fully-installed prefix.
+  /// Apply the reorderer's released epoch in seq order, then append it to
+  /// the stored log. applied_seq_ only ever names a fully-installed prefix.
   void release_epoch(std::vector<log::ReleasedTxn> epoch);
-  /// Apply one transaction's records to the copy (store + index). Runs on
-  /// apply-pool threads; must only touch this transaction's footprint.
+  /// Apply one transaction's records to the copy (store + index).
   void apply_txn(const log::ReleasedTxn& txn);
   /// Fold asynchronous disk-flush failures into stats/disk_dense_.
   void check_disk_health();
@@ -223,7 +205,6 @@ class MirrorService {
   const Clock& clock_;
   Endpoint endpoint_;
   log::Reorderer reorderer_;
-  ApplyPool pool_;
   std::shared_ptr<DiskHealth> disk_health_{std::make_shared<DiskHealth>()};
   /// Prefix of disk_health_->failures already folded into stats_.
   std::uint64_t disk_failures_seen_{0};

@@ -80,12 +80,6 @@ PrimaryReplicator::PrimaryReplicator(net::Channel& channel, const Clock& clock,
                           mirror_applied_ = std::max(mirror_applied_, applied);
                           pm().mirror_applied_seq.set(
                               static_cast<double>(mirror_applied_));
-                          if (last_snapshot_ &&
-                              mirror_applied_ >= last_snapshot_->boundary) {
-                            // The joiner caught up: the cached snapshot can
-                            // no longer be needed for chunk retries.
-                            last_snapshot_.reset();
-                          }
                         },
                     .on_join_request =
                         [this](ValidationTs have) { on_join_request(have); },
@@ -102,8 +96,9 @@ PrimaryReplicator::PrimaryReplicator(net::Channel& channel, const Clock& clock,
                     .on_disconnect =
                         [this] {
                           // The joiner is gone with the link; a rejoin
-                          // starts with a fresh request.
+                          // starts with a fresh request and a new serve.
                           drop_pending_serves();
+                          last_snapshot_.reset();
                           if (hooks_.on_disconnect) hooks_.on_disconnect();
                         },
                     .on_reconnected =
@@ -259,6 +254,10 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
 }
 
 void PrimaryReplicator::on_snapshot_installed(std::uint64_t snapshot_id) {
+  if (last_snapshot_ && last_snapshot_->id == snapshot_id) {
+    // The joiner holds every chunk of this serve: no retry can need them.
+    last_snapshot_.reset();
+  }
   if (snapshot_id != 0 && snapshot_id == switched_serve_) {
     // The joiner missed our kJoinComplete: say it again.
     (void)send_counted(Message::join_complete(snapshot_id, switched_through_));

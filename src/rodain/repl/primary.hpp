@@ -133,8 +133,10 @@ class PrimaryReplicator final : public log::Shipper {
   /// Forget the serves still waiting for an install report, and the pin.
   void drop_pending_serves();
 
-  /// The last served snapshot, kept until the mirror's applied seq passes
-  /// its boundary, so lost chunks can be re-served without re-encoding.
+  /// The last served snapshot, so lost chunks can be re-served without
+  /// re-encoding. Kept until the joiner reports it installed, a newer serve
+  /// replaces it, or the link drops — never dropped on a heartbeat's
+  /// applied seq, which can already pass a low boundary.
   struct CachedSnapshot {
     std::uint64_t id{0};
     ValidationTs boundary{0};

@@ -31,7 +31,7 @@ struct NodeMetrics {
   obs::Gauge& role = obs::metrics().gauge("node.role");
   obs::Gauge& active_txns = obs::metrics().gauge("node.active_txns");
   obs::Gauge& miss_ratio = obs::metrics().gauge("node.miss_ratio");
-  /// Checkpoint observability (DESIGN.md §7, §15): gate-held stall time,
+  /// Checkpoint observability (DESIGN.md §7, §15): flip stall time,
   /// failed writes, and the fuzzy chain's byte/dirtiness breakdown.
   obs::Timer& checkpoint_stall =
       obs::metrics().timer("node.checkpoint_stall_us");
@@ -46,11 +46,16 @@ NodeMetrics& nm() {
   return m;
 }
 
-// The lock-free read path shares the engine's retry counter: a snapshot
-// retry costs the same whether a worker or a client-side get() paid it.
+// Seqlock retries of the lock-free read_committed path.
 obs::Counter& read_retry_counter() {
   static obs::Counter& c = obs::metrics().counter("engine.read_retries");
   return c;
+}
+
+/// The watchdog and the disconnect grace are strict: each fires one tick
+/// past its start + window.
+TimePoint past(TimePoint since, Duration window) {
+  return since + window + Duration::micros(1);
 }
 }  // namespace
 
@@ -67,20 +72,7 @@ void Node::GuardedChannel::set_message_handler(MessageHandler handler) {
       [node, epoch, h = std::move(handler)](std::vector<std::byte> frame) {
         std::unique_lock lock(node->commit_mu_);
         if (node->channel_epoch_ != epoch) return;  // role torn down
-        // Parallel commit path (DESIGN.md §13): frames can serve joins,
-        // whose snapshot boundary is the installed low-water. Hold the
-        // install gate while the handler walks replication state so no
-        // committer is mid-install under it, and seal under the gate so the
-        // log writer's tail covers every installed transaction. A seal taken
-        // before the gate misses a committer that installs in between, and
-        // the join then falls back to a live encode.
-        std::unique_lock<std::shared_mutex> gate;
-        if (node->engine_ && node->engine_->parallel_commit()) {
-          gate = std::unique_lock(node->engine_->install_gate());
-          node->engine_->seal_epoch();
-        }
         if (h) h(std::move(frame));
-        if (gate) gate.unlock();
         // A commit ack finishes its parked transactions in place
         // (on_log_durable_locked); their callbacks run after the unlock.
         node->run_done(lock);
@@ -140,9 +132,8 @@ Node::Node(NodeConfig config, std::string name)
     return engine_ ? engine_->installed_low_water() : ValidationTs{0};
   };
   ckpt.write = [this](ValidationTs b) {
-    // Fuzzy needs a primary-side engine (the flip runs under its install
-    // gate; mirror applies are not excludable that way) — anything else
-    // keeps the legacy stop-the-world encode.
+    // Fuzzy needs a primary-side engine; mirror-side checkpoints keep the
+    // legacy stop-the-world encode.
     if (config_.fuzzy_checkpoint && engine_) {
       return write_checkpoint_fuzzy_locked(b);
     }
@@ -282,7 +273,9 @@ void Node::build_primary_locked(LogMode mode) {
         link_down_since_ = clock_.now();
         RODAIN_INFO("%s: mirror link down, grace %lld us", name_.c_str(),
                     static_cast<long long>(config_.disconnect_grace.us));
-        heartbeat_cv_.notify_one();  // it escalates when the grace ends
+        // The heartbeat thread escalates when the grace ends.
+        wake_heartbeat_locked(
+            past(*link_down_since_, config_.disconnect_grace));
       }
     };
     hooks.on_reconnected = [this] {
@@ -311,9 +304,10 @@ void Node::build_primary_locked(LogMode mode) {
         *guarded_channel_, clock_, store_, *log_writer_, std::move(hooks));
     replicator_->set_index(&index_);
     log_writer_->set_shipper(replicator_.get());
-    log_writer_->configure_ack_timeout(&clock_, config_.ack_timeout, [this] {
-      escalate_mirror_lost_locked("commit ack timeout");
-    });
+    log_writer_->configure_ack_timeout(
+        &clock_, config_.ack_timeout,
+        [this] { escalate_mirror_lost_locked("commit ack timeout"); },
+        [this](TimePoint at) { wake_heartbeat_locked(at); });
     // The schedule hook runs under commit_mu_ (every submit path holds it);
     // flush_batch() is then driven by the timer thread, also under it.
     log_flush_at_.reset();
@@ -326,19 +320,14 @@ void Node::build_primary_locked(LogMode mode) {
   }
   log_writer_->set_mode(mode);
 
-  // Parallel commit (DESIGN.md §13): with more than one worker, OCC
-  // transactions validate and install outside commit_mu_ (per-record write
-  // intents + the engine's validation mutex), and redo records reach the
-  // LogWriter through the epoch sealer. The engine opts back out for
-  // controllers without a lock-free read phase (2PL).
-  config_.engine.parallel_commit =
-      config_.engine.parallel_commit || config_.worker_threads > 1;
-
-  // Every engine hook fires with commit_mu_ held (worker serial sections,
-  // channel handlers, the timer's flush path), so push_ready's park-resume
-  // handshake is race-free by construction.
+  // Every engine hook fires with commit_mu_ held (worker steps, channel
+  // handlers, the timer's flush path), so push_ready's park-resume
+  // handshake is race-free by construction. A restarted victim that a
+  // worker owns needs no resume: the owner steps it from its read phase.
   engine::Engine::Hooks hooks;
-  hooks.on_victim_restart = [this](TxnId id) { push_ready(id); };
+  hooks.on_victim_restart = [this](TxnId id) {
+    push_ready(id, /*resume_owner=*/false);
+  };
   hooks.on_lock_granted = [this](TxnId id) { push_ready(id); };
   hooks.on_log_durable = [this](TxnId id) { on_log_durable_locked(id); };
   engine_ = std::make_unique<engine::Engine>(config_.engine, store_, &index_,
@@ -354,7 +343,7 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
   peer_ = peer;
   {
     std::lock_guard q(queue_mu_);
-    stopping_.store(false, std::memory_order_relaxed);
+    stopping_ = false;
   }
   build_primary_locked(mode);
   engine_->set_next_validation_seq(recovered_next_seq_);
@@ -369,10 +358,10 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
       config_.checkpoint_interval.is_positive()) {
     checkpointer_ = std::thread([this] {
       std::unique_lock ckpt_lock(commit_mu_);
-      while (!stopping_.load(std::memory_order_relaxed)) {
+      while (!stopping_) {
         stop_cv_.wait_for(
             ckpt_lock, std::chrono::microseconds(config_.checkpoint_interval.us));
-        if (stopping_.load(std::memory_order_relaxed) || !serving_locked()) {
+        if (stopping_ || !serving_locked()) {
           continue;
         }
         if (recovery_ && recovery_->active()) {
@@ -382,11 +371,8 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
           continue;
         }
         // The Checkpointer owns the cadence and truncates the log after
-        // each successful write. A fuzzy write seals the epoch, which can
-        // finish parked transactions (kOff or direct-disk durables).
+        // each successful write.
         ckpt_.tick(clock_.now());
-        run_done(ckpt_lock);
-        ckpt_lock.lock();
       }
     });
   }
@@ -398,7 +384,7 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
 
 void Node::sweeper_loop() {
   std::unique_lock lock(commit_mu_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_) {
     if (!recovery_) break;
     if (recovery_->active()) {
       recovery_->sweep(config_.recovery_sweep_txns, store_, &index_);
@@ -443,11 +429,11 @@ void Node::start_sampler_locked() {
   }
   sampler_ = std::thread([this] {
     std::unique_lock lock(commit_mu_);
-    while (!stopping_.load(std::memory_order_relaxed)) {
+    while (!stopping_) {
       stop_cv_.wait_for(
           lock,
           std::chrono::microseconds(config_.metrics_snapshot_interval.us));
-      if (stopping_.load(std::memory_order_relaxed)) break;
+      if (stopping_) break;
       sample_metrics_locked();
     }
   });
@@ -469,17 +455,10 @@ bool Node::serving_locked() const {
 }
 
 Status Node::write_checkpoint_at_locked(ValidationTs boundary) {
-  // Parallel committers install outside commit_mu_; the unique gate makes
-  // the store walk see no half-installed transaction. (Mirror-role callers
-  // have no engine — their applies run serially under commit_mu_.)
   // The whole encode counts as stall: commit_mu_ is held throughout, so
   // every committer waits for the full store walk (the cost the fuzzy
   // path exists to avoid).
   obs::ScopedTimer stall(nm().checkpoint_stall);
-  std::unique_lock<std::shared_mutex> gate;
-  if (engine_ && engine_->parallel_commit()) {
-    gate = std::unique_lock(engine_->install_gate());
-  }
   Status s = storage::write_checkpoint_file(store_, boundary,
                                             config_.checkpoint_path, &index_);
   if (s) {
@@ -504,11 +483,6 @@ Status Node::write_checkpoint_fuzzy_locked(ValidationTs boundary) {
   std::vector<storage::IndexOp> journal;
   {
     obs::ScopedTimer stall(nm().checkpoint_stall);
-    std::unique_lock<std::shared_mutex> gate;
-    if (engine_->parallel_commit()) {
-      engine_->seal_epoch();
-      gate = std::unique_lock(engine_->install_gate());
-    }
     // A base is forced when there is no chain to extend, when the chain is
     // long enough that replaying deltas would dominate recovery, or when
     // the journal was lost (e.g. a failed base write disabled it).
@@ -634,13 +608,11 @@ Status Node::write_checkpoint_locked() {
 }
 
 Status Node::write_checkpoint() {
-  std::unique_lock lock(commit_mu_);
+  std::lock_guard lock(commit_mu_);
   if (config_.checkpoint_path.empty()) {
     return Status::error(ErrorCode::kFailedPrecondition, "no checkpoint path");
   }
-  Status s = write_checkpoint_locked();
-  run_done(lock);  // the fuzzy write's epoch seal can finish transactions
-  return s;
+  return write_checkpoint_locked();
 }
 
 std::optional<repl::JoinArtifacts> Node::join_artifacts_locked() {
@@ -775,14 +747,11 @@ void Node::start_mirror(net::Channel& peer, ValidationTs expected_next) {
   peer_ = &peer;
   {
     std::lock_guard q(queue_mu_);
-    stopping_.store(false, std::memory_order_relaxed);
+    stopping_ = false;
   }
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
   repl::MirrorService::Options options;
   options.store_to_disk = true;
-  // Match the primary's commit width: a parallel-commit primary must not
-  // outrun its own mirror's apply path (DESIGN.md §14).
-  options.apply_workers = config_.worker_threads;
   options.on_synced = [this] { become_locked(NodeRole::kMirror); };
   options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
   if (!config_.checkpoint_path.empty() &&
@@ -814,12 +783,11 @@ void Node::start_rejoin(net::Channel& peer) {
   peer_ = &peer;
   {
     std::lock_guard q(queue_mu_);
-    stopping_.store(false, std::memory_order_relaxed);
+    stopping_ = false;
   }
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
   repl::MirrorService::Options options;
   options.store_to_disk = true;
-  options.apply_workers = config_.worker_threads;
   options.on_synced = [this] { become_locked(NodeRole::kMirror); };
   options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
   if (!config_.checkpoint_path.empty() &&
@@ -875,11 +843,11 @@ void Node::take_over_locked() {
 void Node::stop() {
   {
     std::scoped_lock lock(commit_mu_, queue_mu_);
-    if (stopping_.load(std::memory_order_relaxed) &&
+    if (stopping_ &&
         role_.load(std::memory_order_relaxed) == NodeRole::kDown) {
       return;
     }
-    stopping_.store(true, std::memory_order_relaxed);
+    stopping_ = true;
     become_locked(NodeRole::kDown);
     // Freeze the outage become_locked just opened: downtime accrual stops at
     // shutdown, but the outage stays reported as open (never re-served).
@@ -889,8 +857,8 @@ void Node::stop() {
   timer_cv_.notify_all();
   heartbeat_cv_.notify_all();
   stop_cv_.notify_all();
-  // Join BEFORE sweeping active_: a worker in the lock-free read phase holds
-  // a raw Transaction pointer with no mutex, so the entries must outlive it.
+  // Join BEFORE sweeping active_: a worker that owns a transaction holds a
+  // raw pointer to it while it waits for commit_mu_.
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -993,24 +961,6 @@ Result<storage::Value> Node::get(ObjectId oid) {
     return Status::error(ErrorCode::kAborted, "read transaction aborted");
   }
   std::lock_guard lock(commit_mu_);
-  if (engine_ && engine_->parallel_commit()) {
-    // Committers install outside commit_mu_: read through the seqlock; on
-    // contention exclude the installer via its write-intent stripe and
-    // retry once (the stripe holder cannot be mid-install afterwards).
-    storage::ObjectRecord snap;
-    std::uint32_t retries = 0;
-    storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
-    if (retries != 0) read_retry_counter().inc(retries);
-    if (r == storage::OptimisticRead::kContended) {
-      const auto intent = engine_->intents().acquire_one(oid);
-      retries = 0;
-      r = store_.read_optimistic(oid, snap, retries);
-    }
-    if (r != storage::OptimisticRead::kHit || snap.deleted) {
-      return Status::error(ErrorCode::kNotFound, "no such object");
-    }
-    return std::move(snap.value);
-  }
   const storage::ObjectRecord* rec = store_.find(oid);
   if (!rec) return Status::error(ErrorCode::kNotFound, "no such object");
   return rec->value;
@@ -1048,7 +998,7 @@ Result<storage::Value> Node::read_committed(ObjectId oid) {
 
 // ------------------------------------------------------------ workers ---
 
-void Node::push_ready(TxnId id) {
+void Node::push_ready(TxnId id, bool resume_owner) {
   std::lock_guard q(queue_mu_);
   auto it = active_.find(id);
   if (it == active_.end()) return;
@@ -1057,7 +1007,7 @@ void Node::push_ready(TxnId id) {
     // The owner worker is driving it right now; it re-checks this flag at
     // its next park point (under commit_mu_ + queue_mu_, both held by every
     // caller of this path, so the handshake cannot be missed).
-    a.resume_pending = true;
+    if (resume_owner) a.resume_pending = true;
     return;
   }
   ready_.emplace(a.txn->priority(), id);
@@ -1112,9 +1062,9 @@ void Node::worker_loop() {
   std::unique_lock qlock(queue_mu_);
   while (true) {
     ready_cv_.wait(qlock, [this] {
-      return stopping_.load(std::memory_order_relaxed) || !ready_.empty();
+      return stopping_ || !ready_.empty();
     });
-    if (stopping_.load(std::memory_order_relaxed)) return;
+    if (stopping_) return;
     const TxnId id = ready_.begin()->second;
     ready_.erase(ready_.begin());
     drive(id, qlock);
@@ -1131,107 +1081,33 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
   txn::Transaction* t = it->second.txn.get();
   qlock.unlock();
 
+  // Every step runs under commit_mu_, held until the transaction parks or
+  // finishes (DESIGN.md §11). stop() sets stopping_ under it too.
   std::unique_lock commit(commit_mu_, std::defer_lock);
-  // While true, t->lock_free_executing() is set and commit_mu_ is released:
-  // the worker streams read-phase steps against seqlock snapshots while
-  // other workers validate/install. Victimizers see the flag (they hold
-  // commit_mu_) and defer the restart; we consume it at the next step.
-  bool unlocked_reads = false;
-  bool done = false;
+  lock_commit(commit);
+  bool done = stopping_;
   while (!done) {
-    const bool want_unlocked = engine_->lock_free_reads() &&
-                               t->phase() == txn::Phase::kReadPhase &&
-                               !t->program_done();
-    if (want_unlocked && !unlocked_reads) {
-      if (!commit.owns_lock()) lock_commit(commit);
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      // Flag flips happen only under commit_mu_, so a victimizer can never
-      // observe a half-entered lock-free section.
-      t->set_lock_free_executing(true);
-      unlocked_reads = true;
-      commit.unlock();
-    }
-    if (unlocked_reads) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (std::optional<engine::StepResult> r = engine_->step_read_unlocked(*t)) {
-        // Outside every lock — that is the whole point.
-        burn_modelled_cost(r->cost);
-        continue;
-      }
-      if (t->phase() == txn::Phase::kReadPhase && t->program_done() &&
-          engine_->parallel_commit_active()) {
-        // Parallel commit (DESIGN.md §13): validate + install WITHOUT
-        // commit_mu_ — per-record write intents and the engine's validation
-        // mutex serialize what must be serial. Clearing the flag needs no
-        // mutex here: with the parallel path compiled in, victimizers
-        // always defer instead of reading lock_free_executing
-        // (Engine::restart_victims).
-        t->set_lock_free_executing(false);
-        unlocked_reads = false;
-        const engine::StepResult pr = engine_->step_commit_unlocked(*t);
-        burn_modelled_cost(pr.cost);
-        if (pr.action == engine::StepAction::kRestarted) continue;
-        // Seal under commit_mu_: the buffered redo entry (and any peers'
-        // below the dense edge) joins the globally seq-ordered stream the
-        // LogWriter sees; kOff durables fire inside this call.
-        lock_commit(commit);
-        engine_->seal_epoch();
-        if (stopping_.load(std::memory_order_relaxed)) break;
-        if (pr.action == engine::StepAction::kAborted) {
-          finish_locked(id, t->outcome());
-          done = true;
-          continue;
-        }
-        // kWaitLogAck: park unless the durable callback (inline kOff seal,
-        // or a mirror/disk ack raced ahead) already resumed us.
-        {
-          std::lock_guard q(queue_mu_);
-          auto it2 = active_.find(id);
-          if (it2 == active_.end()) {
-            done = true;
-          } else if (it2->second.resume_pending) {
-            it2->second.resume_pending = false;
-          } else {
-            it2->second.owned_by_worker = false;
-            done = true;
-          }
-        }
-        continue;
-      }
-      // The next step must run serially: validation is up (with the
-      // parallel path inactive — recovery drain), a deferred victim-restart
-      // is pending, or the optimistic read hit contention.
-      lock_commit(commit);
-      t->set_lock_free_executing(false);
-      unlocked_reads = false;
-      if (stopping_.load(std::memory_order_relaxed)) break;
-    } else if (!commit.owns_lock()) {
-      lock_commit(commit);
-      if (stopping_.load(std::memory_order_relaxed)) break;
-    }
     const engine::StepResult r = engine_->step(*t);
     burn_modelled_cost(r.cost);
     switch (r.action) {
       case engine::StepAction::kContinue:
       case engine::StepAction::kRestarted:
-        continue;
+        break;
       case engine::StepAction::kBlocked:
       case engine::StepAction::kWaitLogAck: {
-        // Every resume path (lock grant, log ack, victim restart) runs under
-        // commit_mu_, which we hold: checking resume_pending and parking are
-        // one atomic decision — the historical re-check race is gone.
+        // Every resume path (lock grant, log ack) runs under commit_mu_,
+        // which we hold: checking resume_pending and parking are one
+        // atomic decision.
         std::lock_guard q(queue_mu_);
         auto it2 = active_.find(id);
         if (it2 == active_.end()) {
           done = true;
-          break;
+        } else if (it2->second.resume_pending) {
+          it2->second.resume_pending = false;  // the grant/ack arrived
+        } else {
+          it2->second.owned_by_worker = false;
+          done = true;
         }
-        if (it2->second.resume_pending) {
-          it2->second.resume_pending = false;
-          continue;  // the grant/ack already arrived
-        }
-        it2->second.owned_by_worker = false;
-        done = true;
         break;
       }
       case engine::StepAction::kCommitted:
@@ -1244,13 +1120,7 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
         break;
     }
   }
-  if (unlocked_reads) {
-    // Shutdown path: clear the flag under commit_mu_ so the sweep in stop()
-    // never sees a phantom lock-free owner.
-    if (!commit.owns_lock()) lock_commit(commit);
-    t->set_lock_free_executing(false);
-  }
-  if (commit.owns_lock()) run_done(commit);
+  run_done(commit);
   qlock.lock();
 }
 
@@ -1337,9 +1207,15 @@ void Node::wake_timer_locked(TimePoint at) {
   timer_cv_.notify_one();
 }
 
+void Node::wake_heartbeat_locked(TimePoint at) {
+  if (at >= heartbeat_wake_at_) return;
+  heartbeat_wake_at_ = at;
+  heartbeat_cv_.notify_one();
+}
+
 void Node::timer_loop() {
   std::unique_lock lock(commit_mu_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_) {
     // Sleep toward whichever comes first: the earliest deadline of an
     // unfinished transaction or a pending group-commit flush. Only an
     // earlier one wakes the thread before that (wake_timer_locked).
@@ -1349,10 +1225,7 @@ void Node::timer_loop() {
     const TimePoint now = clock_.now();
     if (now < next) {
       timer_wake_at_ = next;
-      const auto woken = [&] {
-        return stopping_.load(std::memory_order_relaxed) ||
-               timer_wake_at_ < next;
-      };
+      const auto woken = [&] { return stopping_ || timer_wake_at_ < next; };
       if (next == TimePoint::max()) {
         timer_cv_.wait(lock, woken);
       } else {
@@ -1375,10 +1248,8 @@ void Node::timer_loop() {
         auto it = active_.find(id);
         if (it == active_.end()) continue;
         Active& a = it->second;
-        // Ownership first: a parallel-commit owner mutates the phase with
-        // neither node mutex held, so can_abort (which reads it) may only
-        // run on unowned entries — those quiesced their phase writes before
-        // releasing ownership under queue_mu_.
+        // An owned transaction belongs to its worker, which may be waiting
+        // for commit_mu_ to step it: it completes late instead.
         if (!a.owned_by_worker &&
             a.txn->criticality() == Criticality::kFirm &&
             engine_->can_abort(*a.txn)) {
@@ -1408,16 +1279,11 @@ void Node::timer_loop() {
 void Node::heartbeat_loop() {
   std::unique_lock lock(commit_mu_);
   const repl::Watchdog watchdog(config_.watchdog_timeout);
-  // The watchdog and the disconnect grace are strict: each fires one tick
-  // past its start + window.
-  const auto past = [](TimePoint since, Duration window) {
-    return since + window + Duration::micros(1);
-  };
   // This thread keeps its own time: it wakes for its next beat, for the
   // watchdog expiry and, on a primary with a mirror, for the ack deadline
   // of the oldest unacked shipment and the end of a disconnect grace.
   TimePoint next_beat = clock_.now() + config_.heartbeat_interval;
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_) {
     const TimePoint now = clock_.now();
     if (now >= next_beat) {
       next_beat = now + config_.heartbeat_interval;
@@ -1475,22 +1341,23 @@ void Node::heartbeat_loop() {
         take_over_locked();
       }
     }
-    // A link drop (on_disconnect) after this point ends the wait early, so
-    // the end of its grace joins the wake times above.
-    const bool link_down = link_down_since_.has_value();
     if (!done_.empty()) {
       // Losing the mirror re-routes unacked commits to disk, which finishes
-      // their parked transactions.
+      // their parked transactions. The state may move while unlocked, so
+      // the wake times are computed again.
       run_done(lock);
       lock.lock();
+      continue;
     }
+    // Only an earlier wake time ends the wait early: the end of a
+    // disconnect grace, or the ack deadline of a first unacked shipment
+    // (wake_heartbeat_locked).
     const TimePoint after = clock_.now();
     if (after < wake) {
+      heartbeat_wake_at_ = wake;
       heartbeat_cv_.wait_for(
-          lock, std::chrono::microseconds((wake - after).us), [&] {
-            return stopping_.load(std::memory_order_relaxed) ||
-                   link_down_since_.has_value() != link_down;
-          });
+          lock, std::chrono::microseconds((wake - after).us),
+          [&] { return stopping_ || heartbeat_wake_at_ < wake; });
     }
   }
 }

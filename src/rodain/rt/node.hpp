@@ -6,15 +6,13 @@
 // peer node running the Mirror role, and a heartbeat/watchdog thread drives
 // the §2 role transitions.
 //
-// Locking (DESIGN.md §11): two node-level mutexes instead of the historical
-// single lock. `commit_mu_` serializes everything that mutates engine or
-// replication state — validation, write phase, log emission, role flips,
-// admission, deadline aborts. `queue_mu_` guards only the EDF ready queue
-// and the per-transaction worker-ownership flags, so workers can pop work
-// and park without convoying on committers. OCC read-phase steps run with
-// NEITHER mutex held (Engine::step_read_unlocked): reads come from
-// per-record seqlock snapshots and the B+-tree's reader lock. Lock order:
-// commit_mu_ -> queue_mu_ -> per-transaction leaf mutexes.
+// Locking (DESIGN.md §11): `commit_mu_` serializes everything that touches
+// engine or replication state — every engine step, log emission, role
+// flips, admission, deadline aborts, inbound frames. `queue_mu_` guards
+// only the EDF ready queue and the per-transaction worker-ownership flags,
+// so workers can pop work and park without holding the commit mutex.
+// Lock order: commit_mu_ -> queue_mu_. Off-lock readers (read_committed)
+// go through the store's per-record seqlocks.
 #pragma once
 
 #include <atomic>
@@ -63,8 +61,8 @@ struct NodeConfig {
   std::string checkpoint_path{};
   Duration checkpoint_interval{Duration::zero()};
   /// Fuzzy checkpoints (DESIGN.md §15): a primary writes checkpoints without
-  /// stalling committers — an O(1) snapshot-epoch flip under the install
-  /// gate, then the encoder walks the store off-lock while writes proceed,
+  /// stalling committers — an O(1) snapshot-epoch flip under the commit
+  /// mutex, then the encoder walks the store off-lock while writes proceed,
   /// alternating full base files with incremental delta files chained by
   /// `<checkpoint_path>.manifest`. Off (or no engine: mirror-side
   /// checkpoints) falls back to the legacy stop-the-world full encode.
@@ -109,7 +107,7 @@ struct NodeConfig {
   NodeConfig() {
     engine.costs = engine::CostModel::zero();
     // CI runs the whole integration tier a second time with RODAIN_WORKERS=4
-    // so every test exercises the parallel read phase.
+    // so every test runs with workers contending for the commit mutex.
     if (const char* env = std::getenv("RODAIN_WORKERS")) {
       char* end = nullptr;
       const long n = std::strtol(env, &end, 10);
@@ -165,11 +163,10 @@ class Node {
   // ---- client API -------------------------------------------------------
   using DoneFn = std::function<void(const CommitInfo&)>;
   /// Asynchronous submission. `done` runs on an internal thread, never
-  /// under the node's locks: a worker, the replication reader, the timer,
-  /// heartbeat or checkpoint thread, or the caller of write_checkpoint().
-  /// It must not block waiting for this node, since its thread may be the
-  /// one that delivers the awaited ack: calling submit() from `done` is
-  /// safe, execute() is not.
+  /// under the node's locks: a worker, the replication reader, or the
+  /// timer or heartbeat thread. It must not block waiting for this node,
+  /// since its thread may be the one that delivers the awaited ack:
+  /// calling submit() from `done` is safe, execute() is not.
   void submit(txn::TxnProgram program, DoneFn done);
   /// Blocking convenience wrapper.
   CommitInfo execute(txn::TxnProgram program);
@@ -235,7 +232,7 @@ class Node {
   Status write_checkpoint_locked();
   Status write_checkpoint_at_locked(ValidationTs boundary);
   /// Fuzzy checkpoint write (DESIGN.md §15): flips the snapshot epoch under
-  /// the install gate (the only stall, O(1)), then RELEASES commit_mu_ for
+  /// commit_mu_ (the only stall, O(1)), then RELEASES commit_mu_ for
   /// the encode and file write, re-acquiring it before returning. Safe
   /// because the Checkpointer's single-flight guard rejects concurrent
   /// runs and stop() joins the checkpointer thread before tearing the
@@ -253,14 +250,19 @@ class Node {
   /// Wake the timer thread if `at` is earlier than the time it sleeps
   /// toward (requires commit_mu_).
   void wake_timer_locked(TimePoint at);
+  /// Same rule for the heartbeat thread: the first unacked shipment's ack
+  /// deadline and the end of a disconnect grace (requires commit_mu_).
+  void wake_heartbeat_locked(TimePoint at);
   /// Background replay while the redo index drains (under commit_mu_).
   void sweeper_loop();
   /// Detach + retire a drained/abandoned redo index (requires commit_mu_).
   void finish_recovery_locked(const char* how);
   /// Queue a transaction for a worker (takes queue_mu_ itself). Callers on
   /// resume paths (log-durable, lock-granted, victim-restart hooks) hold
-  /// commit_mu_, which is what makes park-vs-resume race-free.
-  void push_ready(TxnId id);
+  /// commit_mu_, which is what makes park-vs-resume race-free. A worker
+  /// that owns the transaction gets resume_pending instead, unless
+  /// `resume_owner` is false (a restarted victim needs no resume).
+  void push_ready(TxnId id, bool resume_owner = true);
   /// Acquire commit_mu_ into `lock`, timing contended waits.
   void lock_commit(std::unique_lock<std::mutex>& lock);
   /// Engine on_log_durable hook (requires commit_mu_). A transaction its
@@ -273,7 +275,8 @@ class Node {
   /// held (via `qlock`); returns with it held again.
   void drive(TxnId id, std::unique_lock<std::mutex>& qlock);
   /// Fidelity mode (`costs.per_read > 0`): spin for the modelled CPU cost
-  /// of a step this thread just ran. Without fidelity mode, a no-op.
+  /// of a step this thread just ran, still holding commit_mu_. Without
+  /// fidelity mode, a no-op.
   void burn_modelled_cost(Duration cost) const;
   /// Requires commit_mu_; takes queue_mu_ internally for the active_ erase.
   /// Queues the done callback on done_ — run_done() runs it once the
@@ -286,23 +289,23 @@ class Node {
   std::string name_;
   RealClock clock_;
 
-  /// Serializes engine mutation, replication, role flips, admission and
-  /// telemetry. Narrow by design: the OCC read phase never holds it.
+  /// Serializes every engine step, replication, role flips, admission and
+  /// telemetry.
   mutable std::mutex commit_mu_;
   /// Guards ready_ and the Active worker-ownership flags; active_ map
   /// structure is written under BOTH mutexes, so either lock may read it.
   mutable std::mutex queue_mu_;
   std::condition_variable ready_cv_;  ///< pairs with queue_mu_
   std::condition_variable timer_cv_;  ///< timer thread; pairs with commit_mu_
-  /// Heartbeat thread; pairs with commit_mu_. Notified by stop() and when a
-  /// link drop opens a disconnect grace.
+  /// Heartbeat thread; pairs with commit_mu_. Notified by stop() and
+  /// wake_heartbeat_locked().
   std::condition_variable heartbeat_cv_;
   /// Pairs with commit_mu_: the checkpointer, sampler and sweeper threads
   /// keep their own time on it; only stop() notifies it.
   std::condition_variable stop_cv_;
-  /// Written under commit_mu_ AND queue_mu_ together (so both cv waits see
-  /// it); atomic because unlocked read-phase workers poll it with no lock.
-  std::atomic<bool> stopping_{false};
+  /// Written under commit_mu_ AND queue_mu_ together, so holding either
+  /// one reads it (and both cv waits see it).
+  bool stopping_{false};
 
   storage::ObjectStore store_;
   storage::BPlusTree index_;
@@ -349,6 +352,8 @@ class Node {
   /// The time the timer thread sleeps toward (max: no deadline or flush
   /// pending). Only an earlier deadline or flush wakes it.
   TimePoint timer_wake_at_{TimePoint::max()};
+  /// The time the heartbeat thread sleeps toward (under commit_mu_).
+  TimePoint heartbeat_wake_at_{TimePoint::max()};
   /// Done callbacks of finished transactions, waiting for the finishing
   /// thread to release commit_mu_ (under commit_mu_).
   std::vector<std::pair<DoneFn, CommitInfo>> done_;

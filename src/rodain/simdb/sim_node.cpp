@@ -190,7 +190,6 @@ void SimNode::start_as_mirror(ValidationTs expected_next) {
   // Real threads under the virtual clock: the epoch barrier keeps apply
   // inside the delivering event, so determinism is preserved and the wave
   // accounting matches a width-1 run exactly.
-  options.apply_workers = config_.apply_workers;
   options.on_synced = [this] { become(NodeRole::kMirror); };
   options.on_abandoned = [this] { become(NodeRole::kRecovering); };
   if (config_.checkpoint_interval.is_positive()) {
@@ -265,7 +264,6 @@ void SimNode::recover_and_rejoin() {
   become(NodeRole::kRecovering);
   repl::MirrorService::Options options;
   options.store_to_disk = config_.disk_enabled;
-  options.apply_workers = config_.apply_workers;
   options.on_synced = [this] { become(NodeRole::kMirror); };
   options.on_abandoned = [this] { become(NodeRole::kRecovering); };
   if (config_.checkpoint_interval.is_positive()) {

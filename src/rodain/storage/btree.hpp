@@ -78,9 +78,10 @@ class BPlusTree {
 
   // Readers (find/range_scan/height/validate) take mu_ shared; structural
   // mutators (insert/update/erase) take it unique. Mutators are already
-  // serialized by the engine's commit mutex, so the unique acquisition only
-  // fences optimistic read-phase lookups during splits/merges (DESIGN.md
-  // §11); readers never block each other.
+  // serialized by the node's commit mutex, so the unique acquisition only
+  // fences off-lock lookups (Database::get_by_key, the fuzzy checkpoint's
+  // index scan) during splits/merges (DESIGN.md §11); readers never block
+  // each other.
 
   /// Check every structural invariant (key order, fill factors, leaf links,
   /// separator correctness). Test/debug aid; O(n).

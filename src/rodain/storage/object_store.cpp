@@ -55,10 +55,10 @@ ObjectRecord& ObjectStore::upsert(ObjectId id, Value value, ValidationTs wts) {
   // Fast path: overwrite the record in place under its seqlock, holding
   // only the shared table lock — structural mutators (unique holders)
   // cannot move the slot underneath us, and installers of the same oid are
-  // excluded by the caller's write intent (or the commit mutex in serial
-  // contexts). Only possible when neither the old nor the new payload owns
-  // heap memory: freeing (or publishing) a heap buffer while a racing
-  // reader may be mid-copy needs the unique fence.
+  // excluded by the caller (the node's commit mutex). Only possible when
+  // neither the old nor the new payload owns heap memory: freeing (or
+  // publishing) a heap buffer while a racing reader may be mid-copy needs
+  // the unique fence.
   {
     std::shared_lock table(table_mu_);
     if (Slot* s = locate(id)) {
@@ -225,15 +225,6 @@ std::optional<std::pair<ValidationTs, ValidationTs>> ObjectStore::timestamps_of(
       std::atomic_ref<ValidationTs>(const_cast<ValidationTs&>(rec.wts))
           .load(std::memory_order_relaxed);
   return std::make_pair(rts, wts);
-}
-
-bool ObjectStore::bump_rts(ObjectId id, ValidationTs ts) {
-  std::shared_lock table(table_mu_);
-  if (Slot* s = locate(id)) {
-    s->record.bump_rts(ts);
-    return true;
-  }
-  return false;
 }
 
 bool ObjectStore::erase(ObjectId id) {

@@ -2,13 +2,12 @@
 // ObjectId to the object's payload plus the OCC timestamps (largest committed
 // reader / writer) the concurrency controllers consult at validation.
 //
-// Concurrency (DESIGN.md §11, §13): mutators of the *same* record must be
-// externally serialized (the engine's commit mutex in serial contexts, or a
-// per-record write intent on the parallel commit path — two installers never
-// target one oid concurrently), but optimistic readers may race them freely
-// and installers of *different* records may race each other. Structural
-// changes (new slots, robin-hood displacement, growth, erase, anything
-// touching a heap-allocated payload) take the unique table lock; in-place
+// Concurrency (DESIGN.md §11): mutators of the *same* record must be
+// externally serialized (the node's commit mutex), but optimistic readers
+// may race them freely and installers of *different* records may race each
+// other. Structural changes (new slots, robin-hood displacement, growth,
+// erase, anything touching a heap-allocated payload) take the unique table
+// lock; in-place
 // updates of existing records with inline payloads run under the shared
 // table lock and bump only the record's seqlock, so the common
 // telecom-record update never fences the reader side.
@@ -133,9 +132,10 @@ struct ObjectRecord {
       w.store(ts, std::memory_order_relaxed);
     }
   }
-  /// Loads that race the bumps above (unlocked read phases observing a
-  /// record a committer is installing over). Same tolerance argument as
-  /// the bumps: a stale value is indistinguishable from an earlier read.
+  /// Loads that may race the bumps above (a reader outside the commit
+  /// mutex observing a record a committer is installing over). Same
+  /// tolerance argument as the bumps: a stale value is indistinguishable
+  /// from an earlier read.
   [[nodiscard]] ValidationTs rts_relaxed() const {
     return std::atomic_ref<ValidationTs>(const_cast<ValidationTs&>(rts))
         .load(std::memory_order_relaxed);
@@ -235,12 +235,6 @@ class ObjectStore {
   [[nodiscard]] std::optional<std::pair<ValidationTs, ValidationTs>>
   timestamps_of(ObjectId id) const;
 
-  /// Parallel-safe monotone read-timestamp bump under the shared table
-  /// lock; false when the object is absent. Concurrent callers must be
-  /// serialized against each other (the engine's validation mutex does
-  /// this) — the bump itself is check-then-store.
-  bool bump_rts(ObjectId id, ValidationTs ts);
-
   bool erase(ObjectId id);
 
   [[nodiscard]] std::size_t size() const {
@@ -260,8 +254,8 @@ class ObjectStore {
 
   // ---- fuzzy snapshot mode (DESIGN.md §15) ------------------------------
   // snapshot_begin() flips the snapshot epoch in O(1); the caller must
-  // exclude every writer for the flip (the engine's install gate held
-  // exclusively). Afterwards writers run freely: the first post-flip write
+  // exclude every writer for the flip (the node's commit mutex held).
+  // Afterwards writers run freely: the first post-flip write
   // to a not-yet-captured record copies the old version into a per-stripe
   // retain list (CoW on first write), and snapshot_scan walks the table
   // off-lock, reading live records through their seqlocks and retained
@@ -362,8 +356,9 @@ class ObjectStore {
   std::atomic<std::uint64_t> table_gen_{0};
 
   std::vector<Slot> slots_;
-  /// Atomic because the in-place mutator paths (which hold only the shared
-  /// table lock on the parallel commit path) revive and create tombstones.
+  /// Atomic because the in-place mutator paths, which hold only the shared
+  /// table lock, revive and create tombstones while off-lock readers (the
+  /// fuzzy encoder) read the counts.
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> tombstones_{0};
 

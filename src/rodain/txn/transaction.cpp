@@ -16,12 +16,11 @@ bool Transaction::in_write_set(ObjectId oid) const {
   return false;
 }
 
-void Transaction::note_read(ObjectId oid, ValidationTs observed_wts,
-                            bool optimistic) {
+void Transaction::note_read(ObjectId oid, ValidationTs observed_wts) {
   for (const ReadEntry& e : read_set_) {
     if (e.oid == oid) return;  // first observation wins
   }
-  read_set_.push_back(ReadEntry{oid, observed_wts, optimistic});
+  read_set_.push_back(ReadEntry{oid, observed_wts});
 }
 
 storage::Value& Transaction::write_copy(ObjectId oid, const storage::Value& base) {
@@ -92,7 +91,6 @@ void Transaction::prepare_restart() {
   validation_seq_ = kInvalidValidationTs;
   serial_ts_ = kInvalidValidationTs;
   captured_reads.clear();
-  restart_requested_.store(false, std::memory_order_release);
   ++restarts_;
 }
 

@@ -3,10 +3,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -50,10 +48,6 @@ enum class Phase : std::uint8_t {
 struct ReadEntry {
   ObjectId oid{kInvalidObject};
   ValidationTs observed_wts{0};
-  /// Captured outside the commit mutex (seqlock snapshot). Validation must
-  /// re-check the observed wts against the store: the validator's forward
-  /// scan may have missed this entry if it was appended mid-validation.
-  bool optimistic{false};
 };
 
 /// One deferred write: the private after-image, installed at write phase.
@@ -131,8 +125,7 @@ class Transaction {
 
   [[nodiscard]] bool in_read_set(ObjectId oid) const;
   [[nodiscard]] bool in_write_set(ObjectId oid) const;
-  void note_read(ObjectId oid, ValidationTs observed_wts,
-                 bool optimistic = false);
+  void note_read(ObjectId oid, ValidationTs observed_wts);
   /// Returns the private copy for `oid`, creating it from `base` on first
   /// write (deferred-write clone). Re-putting a deleted entry revives it.
   storage::Value& write_copy(ObjectId oid, const storage::Value& base);
@@ -174,43 +167,6 @@ class Transaction {
   /// buckets accumulate across retries of the same transaction.
   obs::StageClock stages;
 
-  // ---- multicore read phase (DESIGN.md §11) ------------------------------
-  // A transaction whose owner worker executes the read phase outside the
-  // commit mutex exposes two races: a concurrent validator scanning its
-  // read/write sets (Step 2 of OCC-DATI touches *other* transactions'
-  // sets), and the overload manager picking it as a restart victim. The
-  // leaf mutex serializes set access; the flag pair turns victimization
-  // into a deferred self-restart the owner consumes at its next step.
-  // Lock order: engine commit mutex -> node queue mutex -> access_mu().
-  // No Transaction method locks internally — call sites decide, because
-  // the owner already holds access_mu() around compound set operations.
-
-  /// Leaf lock for read_set_/write_set_/interval_ when another thread
-  /// (validator under the commit mutex) may scan them concurrently.
-  [[nodiscard]] std::mutex& access_mu() const { return access_mu_; }
-
-  /// True while the owner worker runs this transaction's read phase with
-  /// no commit mutex held. Flipped only under the engine commit mutex so
-  /// victimizers (who hold it) see a stable value.
-  [[nodiscard]] bool lock_free_executing() const {
-    return lock_free_executing_.load(std::memory_order_acquire);
-  }
-  void set_lock_free_executing(bool v) {
-    lock_free_executing_.store(v, std::memory_order_release);
-  }
-
-  /// Deferred victimization: a restart request the owner worker honours at
-  /// its next step boundary instead of being restarted mid-read.
-  [[nodiscard]] bool restart_requested() const {
-    return restart_requested_.load(std::memory_order_acquire);
-  }
-  void request_restart() {
-    restart_requested_.store(true, std::memory_order_release);
-  }
-  [[nodiscard]] bool consume_restart_request() {
-    return restart_requested_.exchange(false, std::memory_order_acq_rel);
-  }
-
  private:
   TxnId id_;
   std::uint64_t admission_seq_;
@@ -227,10 +183,6 @@ class Transaction {
   ValidationTs serial_ts_{kInvalidValidationTs};
   int restarts_{0};
   TxnOutcome outcome_{TxnOutcome::kCommitted};
-
-  mutable std::mutex access_mu_;
-  std::atomic<bool> lock_free_executing_{false};
-  std::atomic<bool> restart_requested_{false};
 };
 
 }  // namespace rodain::txn

@@ -1,6 +1,7 @@
-// Multicore primary (DESIGN.md §11): stress the lock-free read phase with
-// real worker threads. These tests are the TSan targets for the seqlock +
-// two-mutex node design: every assertion doubles as a data-race probe.
+// Reads at four workers (DESIGN.md §11): transactions read under the
+// node's commit mutex, while db::Database::get reads committed state
+// through the store's seqlocks with no mutex. These tests are TSan targets
+// for the two-mutex node: every assertion doubles as a data-race probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +26,8 @@ storage::Value zeros8() {
 }
 
 // Mixed read/increment workload over a handful of hot objects with four
-// workers: the read phases stream unlocked while validations serialize.
-// The per-object counters must account for every committed increment.
+// workers contending for the commit mutex. The per-object counters must
+// account for every committed increment.
 TEST(ParallelRead, ConcurrentStressMixedWorkload) {
   rt::NodeConfig config;
   config.worker_threads = 4;

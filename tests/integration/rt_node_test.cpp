@@ -436,6 +436,40 @@ TEST(RtNode, DisconnectGraceEscalatesWhenItEnds) {
   mirror.stop();
 }
 
+TEST(RtNode, AckTimeoutFiresForTheFirstUnackedShipment) {
+  // The first unacked shipment wakes the primary's heartbeat thread, which
+  // then sleeps toward the shipment's ack deadline. The beat is 50 times
+  // the ack timeout here, so a timeout checked only on beats would
+  // escalate about 1 s late.
+  auto tcp = TcpPair::make();
+  rt::NodeConfig config;
+  config.heartbeat_interval = 1_s;
+  config.watchdog_timeout = 10_s;
+  config.ack_timeout = 20_ms;
+  rt::Node primary(config, "primary");
+  primary.store().upsert(1, zeros8(), 0);
+  // The peer reads every frame and answers none: no ack, no heartbeat.
+  tcp.server_end->set_message_handler([](std::vector<std::byte>) {});
+  primary.start_primary(LogMode::kMirror, tcp.client_end.get());
+  tcp.server_end->start();
+  tcp.client_end->start();
+
+  // The commit parks for its ack until the escalation re-routes it to the
+  // primary's own log.
+  using Clock = std::chrono::steady_clock;
+  const auto submitted = Clock::now();
+  ASSERT_EQ(primary.execute(increment(1)).outcome, TxnOutcome::kCommitted);
+  const auto committed = Clock::now();
+  EXPECT_EQ(primary.role(), NodeRole::kPrimaryAlone);
+  EXPECT_GE(committed - submitted, std::chrono::milliseconds(20));
+  EXPECT_LE(committed - submitted, std::chrono::milliseconds(100))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(committed -
+                                                               submitted)
+             .count()
+      << " ms after the submit";
+  primary.stop();
+}
+
 TEST(RtNode, FidelityModeChargesTheFinalStep) {
   // Fidelity mode spins for each step's modelled cost. A mirror ack
   // finishes the parked transaction on the thread that delivers it, and

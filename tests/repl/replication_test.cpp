@@ -345,6 +345,91 @@ TEST(Replication, JoinSurvivesLostJoinComplete) {
   join_survives_one_lost(MsgType::kJoinComplete);
 }
 
+TEST(Replication, ChunkRetryIsAnsweredAfterAJoinerHeartbeat) {
+  // A dropped mirror rejoins and is served a snapshot whose boundary is
+  // below the seq it had applied. One chunk is lost, and the joiner's
+  // heartbeat (carrying that applied seq) reaches the primary before its
+  // chunk retry. The cached serve must still answer the retry, so the
+  // join completes with one serve and no restart.
+  sim::Simulation sim;
+  net::SimLink inner{sim, {}};
+  net::FaultyLink link{sim, inner, {}};
+  storage::ObjectStore primary_store{64};
+  storage::ObjectStore mirror_store{64};
+  log::MemoryLogStorage primary_disk;
+  log::MemoryLogStorage mirror_disk;
+  log::LogWriter writer{LogMode::kOff, &primary_disk, nullptr};
+  int chunks_seen = 0;
+  link.set_script([&](const net::FrameInfo& f) {
+    auto frame = decode_framed(f.bytes);
+    if (frame.is_ok() && frame.value().msg.type == MsgType::kSnapshotChunk &&
+        ++chunks_seen == 2) {
+      return net::ScriptAction::kDrop;
+    }
+    return net::ScriptAction::kPass;
+  });
+  ValidationTs boundary = 0;
+  bool joined = false;
+  PrimaryReplicator::Hooks hooks;
+  hooks.snapshot_boundary = [&] { return boundary; };
+  hooks.on_mirror_joined = [&] {
+    writer.set_mode(LogMode::kMirror);
+    joined = true;
+  };
+  PrimaryReplicator::Options small_chunks;
+  small_chunks.snapshot_chunk_bytes = 64;
+  PrimaryReplicator primary(link.end_a(), sim, primary_store, writer, hooks,
+                            small_chunks);
+  writer.set_shipper(&primary);
+  MirrorService mirror(mirror_store, &mirror_disk, link.end_b(), sim,
+                       MirrorService::Options{});
+  ValidationTs seq = 0;
+  auto commit = [&] {
+    ++seq;
+    const ObjectId oid = 100 + seq;
+    const std::string value = "value-" + std::to_string(seq);
+    std::vector<log::Record> records;
+    records.push_back(log::Record::write_image(seq, oid, val(value)));
+    records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
+    primary_store.upsert(oid, val(value), seq * 1000);
+    writer.submit(seq, std::move(records), {});
+  };
+
+  // An in-sync pair applies 1..5, and the primary learns the applied seq.
+  mirror.attach_synced(1);
+  writer.set_mode(LogMode::kMirror);
+  for (int i = 0; i < 5; ++i) commit();
+  sim.run();
+  mirror.send_heartbeat();
+  sim.run();
+  ASSERT_EQ(primary.mirror_applied_seq(), 5u);
+
+  // Dropped: the primary commits alone, then serves the rejoin from an
+  // older boundary, in several chunks.
+  writer.on_mirror_lost();
+  for (int i = 0; i < 2; ++i) commit();
+  boundary = 3;
+  mirror.request_join(mirror.applied_seq());
+  while (mirror.stats().snapshot_chunks == 0) {
+    ASSERT_TRUE(sim.step()) << "no chunk reached the joiner";
+  }
+  mirror.send_heartbeat();  // ahead of the retry the done marker triggers
+  sim.run();
+
+  EXPECT_GT(mirror.stats().snapshot_chunks, 1u);
+  EXPECT_EQ(primary.snapshot_chunks_resent(), 1u);
+  EXPECT_EQ(primary.snapshots_served(), 1u);
+  EXPECT_EQ(mirror.stats().join_retries, 0u);
+  EXPECT_TRUE(joined);
+  EXPECT_FALSE(mirror.join_in_progress());
+  EXPECT_EQ(mirror.applied_seq(), 7u);
+  for (ValidationTs s = 1; s <= 7; ++s) {
+    const auto* rec = mirror_store.find(100 + s);
+    ASSERT_NE(rec, nullptr) << s;
+    EXPECT_EQ(rec->value, val("value-" + std::to_string(s))) << s;
+  }
+}
+
 TEST(Replication, TakeoverAppliesStagedAndDropsOpen) {
   Rig rig;
   rig.mirror->attach_synced(1);
@@ -455,79 +540,6 @@ TEST(Replication, DiskFlushFailureMarksLogNonDense) {
   rig.sim.run();
   EXPECT_FALSE(rig.mirror->disk_log_dense());
   EXPECT_EQ(rig.mirror->stats().disk_write_failures, 1u);
-}
-
-TEST(Replication, ParallelApplyKeepsAckAndStateSemantics) {
-  // The width-4 mirror behaves exactly like the serial one on the wire:
-  // same cumulative acks, same applied floor, same store bytes.
-  Rig serial_rig;
-  serial_rig.mirror->attach_synced(1);
-  serial_rig.writer.set_mode(LogMode::kMirror);
-
-  sim::Simulation sim2;
-  net::SimLink link2{sim2, {}};
-  storage::ObjectStore pstore{64}, mstore{64};
-  log::MemoryLogStorage pdisk, mdisk;
-  log::LogWriter writer2{LogMode::kOff, &pdisk, nullptr};
-  PrimaryReplicator::Hooks hooks;
-  auto primary2 = std::make_unique<PrimaryReplicator>(link2.end_a(), sim2,
-                                                      pstore, writer2, hooks);
-  writer2.set_shipper(primary2.get());
-  MirrorService::Options options;
-  options.store_to_disk = true;
-  options.apply_workers = 4;
-  auto mirror2 = std::make_unique<MirrorService>(mstore, &mdisk, link2.end_b(),
-                                                 sim2, options);
-  mirror2->attach_synced(1);
-  writer2.set_mode(LogMode::kMirror);
-
-  auto submit2 = [&](ValidationTs seq, ObjectId oid, std::string_view value) {
-    std::vector<log::Record> records;
-    records.push_back(log::Record::write_image(seq, oid, val(value)));
-    records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
-    pstore.upsert(oid, val(value), seq * 1000);
-    writer2.submit(seq, std::move(records), {});
-  };
-
-  for (ValidationTs seq = 1; seq <= 20; ++seq) {
-    // Half the stream collides on oid 7 (conflict cuts), half spreads out.
-    const ObjectId oid = seq % 2 == 0 ? 7 : 100 + seq;
-    serial_rig.submit_txn(seq, oid, "v" + std::to_string(seq));
-    submit2(seq, oid, "v" + std::to_string(seq));
-  }
-  serial_rig.sim.run();
-  sim2.run();
-
-  EXPECT_EQ(mirror2->applied_seq(), serial_rig.mirror->applied_seq());
-  EXPECT_EQ(mirror2->stats().acks_sent, serial_rig.mirror->stats().acks_sent);
-  EXPECT_EQ(mirror2->stats().txns_applied,
-            serial_rig.mirror->stats().txns_applied);
-  // Wave accounting is width-independent (the partition is computed either
-  // way); only execution concurrency differs.
-  EXPECT_EQ(mirror2->apply_stats().waves,
-            serial_rig.mirror->apply_stats().waves);
-  EXPECT_EQ(mirror2->apply_stats().conflict_cuts,
-            serial_rig.mirror->apply_stats().conflict_cuts);
-  // Byte-identical copies, including the ordered log the disk stores.
-  ASSERT_EQ(mdisk.records().size(), serial_rig.mirror_disk.records().size());
-  for (std::size_t i = 0; i < mdisk.records().size(); ++i) {
-    EXPECT_TRUE(mdisk.records()[i] == serial_rig.mirror_disk.records()[i])
-        << "disk record " << i;
-  }
-  std::map<ObjectId, std::pair<storage::Value, ValidationTs>> a, b;
-  serial_rig.mirror_store.for_each(
-      [&](ObjectId oid, const storage::ObjectRecord& r) {
-        a[oid] = {r.value, r.wts};
-      });
-  mstore.for_each([&](ObjectId oid, const storage::ObjectRecord& r) {
-    b[oid] = {r.value, r.wts};
-  });
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [oid, state] : a) {
-    ASSERT_EQ(b.count(oid), 1u) << oid;
-    EXPECT_TRUE(b[oid].first == state.first) << oid;
-    EXPECT_EQ(b[oid].second, state.second) << oid;
-  }
 }
 
 TEST(Replication, SeveredLinkDropsFramesAndWriterReroutes) {

@@ -186,39 +186,6 @@ TEST(SimNode, SubmitWhileDownIsRejected) {
   EXPECT_EQ(result.outcome, TxnOutcome::kSystemAborted);
 }
 
-// ---- parallel commit opt-in (DESIGN.md §13) ------------------------------
-
-// The simulated driver is single-threaded, so the parallel commit path must
-// be a pure refactor there: same commits, same per-object totals, and the
-// same virtual finish time as the serial path for an identical workload.
-TEST(SimNode, ParallelCommitOptInMatchesSerialOutcomeAndCost) {
-  auto run = [](bool parallel) {
-    NodeRig rig([&](SimNodeConfig& c) {
-      c.engine.parallel_commit = parallel;
-      c.overload.max_active = 1000;
-    });
-    for (int i = 0; i < 60; ++i) {
-      txn::TxnProgram p;
-      p.read(1);
-      p.add_to_field(static_cast<ObjectId>(1 + i % 8), 0, 1);
-      p.with_deadline(500_ms);
-      rig.submit(std::move(p));
-    }
-    rig.sim.run();
-    std::uint64_t total = 0;
-    rig.node->store().for_each([&](ObjectId, const storage::ObjectRecord& rec) {
-      total += rec.value.read_u64(0);
-    });
-    return std::tuple{rig.node->counters().committed, total, rig.sim.now()};
-  };
-  const auto serial = run(false);
-  const auto parallel = run(true);
-  EXPECT_EQ(std::get<0>(serial), 60u);
-  EXPECT_EQ(std::get<0>(parallel), std::get<0>(serial));
-  EXPECT_EQ(std::get<1>(parallel), std::get<1>(serial));
-  EXPECT_EQ(std::get<2>(parallel).us, std::get<2>(serial).us);
-}
-
 // ---- restart_from_disk (DESIGN.md §12) -----------------------------------
 
 struct RestartRig {
