@@ -1,16 +1,14 @@
 // Checkpoint stall sweep (DESIGN.md §15): run the same write-heavy
 // closed-loop workload at two store sizes 10x apart, with checkpointing
-// off ("none"), fuzzy CoW checkpoints ("fuzzy", the default) and the
-// legacy stop-the-world encode ("stw"). Per point: committed throughput,
-// commit-latency tails while checkpoints land mid-run, and the write
-// stall the checkpoint path charged to node.checkpoint_stall_us.
+// off ("none") and on ("fuzzy": CoW snapshot checkpoints). Per point:
+// committed throughput, commit-latency tails while checkpoints land
+// mid-run, and the write stall the checkpoint path charged to
+// node.checkpoint_stall_us.
 //
 // The two headline ratios the trend gate watches:
 //   stall_flat_ratio        fuzzy mean stall at the large store over the
 //                           small one — the flip is O(1), so growing the
-//                           store 10x must NOT grow the stall 10x (the
-//                           stw_stall_ratio column shows what proportional
-//                           looks like).
+//                           store 10x must NOT grow the stall 10x.
 //   fuzzy_p99_over_none_large  p99 commit latency with fuzzy checkpoints
 //                           landing mid-run over the no-checkpoint
 //                           baseline at the large store (target: ~1x,
@@ -39,15 +37,10 @@ using namespace rodain::literals;
 
 namespace {
 
-enum class Mode { kNone, kFuzzy, kStw };
+enum class Mode { kNone, kFuzzy };
 
 const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kNone: return "none";
-    case Mode::kFuzzy: return "fuzzy";
-    case Mode::kStw: return "stw";
-  }
-  return "?";
+  return m == Mode::kFuzzy ? "fuzzy" : "none";
 }
 
 struct StallPoint {
@@ -78,7 +71,7 @@ StallPoint run_point(Mode mode, std::size_t store_size, double window_s,
   dbc.num_objects = store_size;
   workload::WorkloadConfig wlc;
   // Write-heavy: every committed txn dirties records, so deltas have
-  // something to carry and the stw encode races real commit traffic.
+  // something to carry and the encode races real commit traffic.
   wlc.write_fraction = 0.6;
   wlc.reads_per_txn = 4;
   wlc.updates_per_txn = 4;
@@ -92,8 +85,7 @@ StallPoint run_point(Mode mode, std::size_t store_size, double window_s,
   rt::NodeConfig config;
   config.overload.max_active = 100000;
   config.store_capacity_hint = store_size * 2;
-  config.fuzzy_checkpoint = mode == Mode::kFuzzy;
-  if (mode != Mode::kNone) {
+  if (mode == Mode::kFuzzy) {
     config.checkpoint_path = (dir / "db.ckpt").string();
     config.checkpoint_interval = 50_ms;
   }
@@ -102,9 +94,8 @@ StallPoint run_point(Mode mode, std::size_t store_size, double window_s,
   node.start_primary(LogMode::kOff);
 
   obs::Timer& stall = obs::metrics().timer("node.checkpoint_stall_us");
-  obs::Counter& checkpoints = obs::metrics().counter("node.checkpoints");
-  obs::Counter& failures =
-      obs::metrics().counter("node.checkpoint_failures");
+  obs::Counter& checkpoints = obs::metrics().counter("log.checkpoints");
+  obs::Counter& failures = obs::metrics().counter("log.checkpoint_failures");
   obs::Counter& bytes_full = obs::metrics().counter("ckpt.bytes_full");
   obs::Counter& bytes_delta = obs::metrics().counter("ckpt.bytes_delta");
   const LatencyHistogram stall0 = stall.merged();
@@ -235,36 +226,28 @@ int main(int argc, char** argv) {
   const auto dir =
       std::filesystem::temp_directory_path() / "rodain_bench_ckpt_stall";
 
-  std::printf("=== Checkpoint stall: fuzzy vs stop-the-world, store %zu -> "
-              "%zu ===\n",
-              small, large);
+  std::printf("=== Checkpoint stall: store %zu -> %zu ===\n", small, large);
 
-  // Fuzzy points run before any stw point so the monotone global max of
-  // the shared stall timer is still fuzzy-only when sampled.
-  StallPoint none_s, none_l, fuzzy_s, fuzzy_l, stw_s, stw_l;
-  none_s = run_point(Mode::kNone, small, window_s, args, dir);
-  none_l = run_point(Mode::kNone, large, window_s, args, dir);
-  fuzzy_s = run_point(Mode::kFuzzy, small, window_s, args, dir);
-  fuzzy_l = run_point(Mode::kFuzzy, large, window_s, args, dir);
+  const StallPoint none_s = run_point(Mode::kNone, small, window_s, args, dir);
+  const StallPoint none_l = run_point(Mode::kNone, large, window_s, args, dir);
+  const StallPoint fuzzy_s =
+      run_point(Mode::kFuzzy, small, window_s, args, dir);
+  const StallPoint fuzzy_l =
+      run_point(Mode::kFuzzy, large, window_s, args, dir);
   const double fuzzy_stall_max_us =
       static_cast<double>(obs::metrics()
                               .timer("node.checkpoint_stall_us")
                               .merged()
                               .max_value()
                               .us);
-  stw_s = run_point(Mode::kStw, small, window_s, args, dir);
-  stw_l = run_point(Mode::kStw, large, window_s, args, dir);
 
-  for (const StallPoint* p :
-       {&none_s, &none_l, &fuzzy_s, &fuzzy_l, &stw_s, &stw_l}) {
+  for (const StallPoint* p : {&none_s, &none_l, &fuzzy_s, &fuzzy_l}) {
     print_point(*p);
     report_point(rep, *p);
   }
 
   const double stall_flat_ratio =
       ratio(fuzzy_l.stall_mean_us, fuzzy_s.stall_mean_us);
-  const double stw_stall_ratio =
-      ratio(stw_l.stall_mean_us, stw_s.stall_mean_us);
   const double p99_over_none =
       ratio(fuzzy_l.latency.quantile(0.99).to_ms(),
             none_l.latency.quantile(0.99).to_ms());
@@ -272,14 +255,12 @@ int main(int argc, char** argv) {
                         fuzzy_s.failures == 0 && fuzzy_l.failures == 0;
 
   rep.set("stall_flat_ratio", stall_flat_ratio);
-  rep.set("stw_stall_ratio", stw_stall_ratio);
   rep.set("fuzzy_p99_over_none_large", p99_over_none);
   rep.set("fuzzy_stall_max_us", fuzzy_stall_max_us);
   rep.set("fuzzy_checkpoints_ok", static_cast<std::int64_t>(fuzzy_ok));
 
-  std::printf(
-      "  -> fuzzy stall growth over 10x store: %.2fx (stw grows %.2fx)\n",
-      stall_flat_ratio, stw_stall_ratio);
+  std::printf("  -> fuzzy stall growth over 10x store: %.2fx\n",
+              stall_flat_ratio);
   std::printf(
       "  -> p99 during fuzzy checkpoints / no-checkpoint baseline: %.2fx "
       "(target < 2x)\n",

@@ -21,7 +21,7 @@
 #include "rodain/log/recovery.hpp"
 #include "rodain/log/segment.hpp"
 #include "rodain/rt/node.hpp"
-#include "rodain/storage/checkpoint.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 using namespace rodain;
 using namespace rodain::literals;
@@ -31,7 +31,8 @@ namespace {
 // ---------------------------------------------------------------- C4 ----
 
 void measure_failover(const exp::BenchArgs& args, exp::BenchReport& rep) {
-  std::printf("--- C4a: failover gap vs watchdog timeout (two-node, 200 txn/s) ---\n");
+  std::printf(
+      "--- C4a: failover gap vs watchdog timeout (two-node, 200 txn/s) ---\n");
   exp::SeriesPrinter printer("watchdog[ms]", {"failover gap [ms]"});
   for (double timeout_ms : {50.0, 100.0, 200.0, 500.0, 1000.0}) {
     sim::Simulation sim;
@@ -44,14 +45,16 @@ void measure_failover(const exp::BenchArgs& args, exp::BenchReport& rep) {
       workload::load_database(db, s, i);
     });
     cluster.start();
-    auto trace = workload::Trace::generate(db, workload::PaperSetup::workload(0.5),
-                                           200.0, args.txns / 2, args.seed);
+    auto trace =
+        workload::Trace::generate(db, workload::PaperSetup::workload(0.5),
+                                  200.0, args.txns / 2, args.seed);
     for (const auto& e : trace.entries()) {
       sim.schedule_after(e.offset, [&cluster, &e] {
         cluster.submit(e.program, {});
       });
     }
-    sim.schedule_at(TimePoint{2'000'000}, [&] { cluster.fail_node(cluster.node_a()); });
+    sim.schedule_at(TimePoint{2'000'000},
+                    [&] { cluster.fail_node(cluster.node_a()); });
     sim.run_until(TimePoint::origin() + trace.duration() + 5_s);
     const double gap_ms = cluster.last_failover_gap()
                               ? cluster.last_failover_gap()->to_ms()
@@ -68,11 +71,14 @@ void measure_failover(const exp::BenchArgs& args, exp::BenchReport& rep) {
 
 void measure_recovery(const exp::BenchArgs& args, exp::BenchReport& rep) {
   (void)args;
-  std::printf("\n--- C4b: lone-node restart from disk backup (checkpoint + log replay) ---\n");
+  std::printf(
+      "\n--- C4b: lone-node restart from disk backup "
+      "(checkpoint + log replay) ---\n");
   exp::SeriesPrinter printer("objects",
                              {"ckpt[MB]", "1998-disk load [ms]",
                               "replay cpu [ms]", "total restart [ms]"});
-  const auto dir = std::filesystem::temp_directory_path() / "rodain_recovery_bench";
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rodain_recovery_bench";
   std::filesystem::create_directories(dir);
   for (std::size_t objects : {10000uz, 30000uz, 100000uz}) {
     workload::DatabaseConfig db;
@@ -84,31 +90,34 @@ void measure_recovery(const exp::BenchArgs& args, exp::BenchReport& rep) {
     const std::string ckpt_path = (dir / "db.ckpt").string();
     const std::string log_path = (dir / "tail.log").string();
     std::filesystem::remove(log_path);
-    (void)storage::write_checkpoint_file(store, 0, ckpt_path);
+    storage::CheckpointChain chain(ckpt_path);
+    (void)chain.write(store, index, 0);
     // A plausible log tail: ~2000 committed update txns since the checkpoint.
     {
       auto log_file = log::FileLogStorage::open(log_path);
       Rng rng(7);
       for (ValidationTs seq = 1; seq <= 2000; ++seq) {
         for (int w = 0; w < 2; ++w) {
-          storage::Value v{std::string_view{"updated-payload-bytes-0123456789", 32}};
+          storage::Value v{
+              std::string_view{"updated-payload-bytes-0123456789", 32}};
           log_file.value()->append(log::Record::write_image(
               seq, workload::oid_for(rng.next_below(objects)), v));
         }
-        log_file.value()->append(log::Record::commit(seq, seq, seq * cc::kTsSpacing, 2));
+        log_file.value()->append(
+            log::Record::commit(seq, seq, seq * cc::kTsSpacing, 2));
       }
       log_file.value()->flush({});
     }
 
-    const auto ckpt_bytes = std::filesystem::file_size(ckpt_path);
+    const auto ckpt_bytes = chain.manifest().entries.at(0).bytes;
     const auto log_bytes = std::filesystem::file_size(log_path);
 
     // Actual replay work (CPU), measured on this machine.
     storage::ObjectStore recovered(objects);
     const auto t0 = std::chrono::steady_clock::now();
-    auto meta = storage::read_checkpoint_file(ckpt_path, recovered);
-    auto stats = log::recover_from_file(log_path, recovered,
-                                        meta.is_ok() ? meta.value().last_applied : 0);
+    auto meta = storage::load_checkpoint_artifacts(ckpt_path, recovered);
+    auto stats = log::recover_from_file(
+        log_path, recovered, meta.is_ok() ? meta.value().last_applied : 0);
     const auto t1 = std::chrono::steady_clock::now();
     const double cpu_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -118,7 +127,8 @@ void measure_recovery(const exp::BenchArgs& args, exp::BenchReport& rep) {
     }
     // Modelled sequential load from the paper's disk (~4 MB/s + seeks).
     const double disk_ms =
-        (static_cast<double>(ckpt_bytes + log_bytes) / (4.0 * 1024 * 1024)) * 1e3 +
+        (static_cast<double>(ckpt_bytes + log_bytes) / (4.0 * 1024 * 1024)) *
+            1e3 +
         2 * 8.0;
     printer.add_row(static_cast<double>(objects),
                     {static_cast<double>(ckpt_bytes) / (1024.0 * 1024.0),
@@ -143,7 +153,9 @@ void measure_recovery(const exp::BenchArgs& args, exp::BenchReport& rep) {
 
 void measure_sequential_failure(const exp::BenchArgs& args,
                                 exp::BenchReport& rep) {
-  std::printf("\n--- C5: committed-but-lost txns vs gap between the two failures ---\n");
+  std::printf(
+      "\n--- C5: committed-but-lost txns vs gap between the two failures "
+      "---\n");
   struct DiskCase {
     const char* name;
     Duration seek;
@@ -155,7 +167,8 @@ void measure_sequential_failure(const exp::BenchArgs& args,
   };
   for (const DiskCase& disk : disks) {
     std::printf("  %s:\n", disk.name);
-    exp::SeriesPrinter printer("gap[ms]", {"lost committed txns", "mirror backlog@t1"});
+    exp::SeriesPrinter printer("gap[ms]",
+                               {"lost committed txns", "mirror backlog@t1"});
     for (double gap_ms : {0.0, 5.0, 20.0, 50.0, 200.0, 1000.0}) {
       sim::Simulation sim;
       auto cluster_config = workload::PaperSetup::two_node(true);
@@ -167,10 +180,12 @@ void measure_sequential_failure(const exp::BenchArgs& args,
         workload::load_database(db, s, i);
       });
       cluster.start();
-      auto trace = workload::Trace::generate(
-          db, workload::PaperSetup::workload(0.5), 250.0, args.txns / 2, args.seed);
+      auto trace =
+          workload::Trace::generate(db, workload::PaperSetup::workload(0.5),
+                                    250.0, args.txns / 2, args.seed);
       for (const auto& e : trace.entries()) {
-        sim.schedule_after(e.offset, [&cluster, &e] { cluster.submit(e.program, {}); });
+        sim.schedule_after(e.offset,
+                           [&cluster, &e] { cluster.submit(e.program, {}); });
       }
 
       const TimePoint t1{3'000'000};
@@ -178,7 +193,8 @@ void measure_sequential_failure(const exp::BenchArgs& args,
       std::uint64_t lost = 0;
       ValidationTs acked_boundary = 0;
       sim.schedule_at(t1, [&] {
-        if (auto* d = dynamic_cast<log::SimDiskLogStorage*>(cluster.node_b().disk())) {
+        if (auto* d = dynamic_cast<log::SimDiskLogStorage*>(
+                cluster.node_b().disk())) {
           backlog_at_t1 = d->backlog();
         }
         if (auto* m = cluster.node_b().mirror_service()) {
@@ -194,7 +210,8 @@ void measure_sequential_failure(const exp::BenchArgs& args,
         // flushed yet are committed data lost. (Post-takeover commits wait
         // for their own flush, so an un-flushed suffix of those is merely
         // uncommitted, not lost.)
-        auto* d = dynamic_cast<log::SimDiskLogStorage*>(cluster.node_b().disk());
+        auto* d =
+            dynamic_cast<log::SimDiskLogStorage*>(cluster.node_b().disk());
         if (d) {
           const auto& records = d->records();
           for (std::size_t i = d->durable(); i < records.size(); ++i) {
@@ -255,6 +272,7 @@ void measure_segmented_restart(const exp::BenchArgs& args,
       return;
     }
     log::SegmentedLogStorage& log_store = *seg.value();
+    storage::CheckpointChain chain(ckpt_path);
 
     // The paper's write mix, applied and logged: checkpoint every quarter
     // of the run, then truncate segments the checkpoint covers.
@@ -273,7 +291,7 @@ void measure_segmented_restart(const exp::BenchArgs& args,
       if (seq % 64 == 0) log_store.flush({});
       if (seq % ckpt_every == 0) {
         log_store.flush({});
-        (void)storage::write_checkpoint_file(store, seq, ckpt_path);
+        (void)chain.write(store, index, seq);
         truncated += log_store.truncate_upto(seq);
       }
     }
@@ -415,10 +433,11 @@ void measure_availability_timeline(const exp::BenchArgs& args,
         static_cast<double>(avail.last_downtime_us(0)) / 1000.0;
     const double ttfc_ms =
         static_cast<double>(avail.last_time_to_first_commit_us()) / 1000.0;
-    std::printf("  restart->recovery: %llu txns replayed, downtime=%.2f ms "
-                "time-to-first-commit=%.2f ms\n",
-                static_cast<unsigned long long>(stats.value().committed_applied),
-                downtime_ms, ttfc_ms);
+    std::printf(
+        "  restart->recovery: %llu txns replayed, downtime=%.2f ms "
+        "time-to-first-commit=%.2f ms\n",
+        static_cast<unsigned long long>(stats.value().committed_applied),
+        downtime_ms, ttfc_ms);
     rep.begin_result("C7 avail_restart_recovery");
     rep.field("txns_replayed",
               static_cast<std::int64_t>(stats.value().committed_applied));
@@ -441,7 +460,8 @@ void measure_availability_timeline(const exp::BenchArgs& args,
 // transactions during the whole window the classical node is still silent.
 // Entirely on the virtual timeline, so every field is deterministic and
 // trend-gated.
-void measure_instant_restart(const exp::BenchArgs& args, exp::BenchReport& rep) {
+void measure_instant_restart(const exp::BenchArgs& args,
+                             exp::BenchReport& rep) {
   std::printf("\n--- C8: instant restart vs full replay "
               "(time to first commit) ---\n");
   exp::SeriesPrinter printer(

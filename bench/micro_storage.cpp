@@ -3,7 +3,7 @@
 
 #include "rodain/common/rng.hpp"
 #include "rodain/storage/btree.hpp"
-#include "rodain/storage/checkpoint.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 #include "rodain/storage/object_store.hpp"
 
 using namespace rodain;
@@ -12,7 +12,9 @@ using storage::Value;
 
 namespace {
 
-Value payload(std::size_t n = 48) { return Value{std::string_view{std::string(n, 'x')}}; }
+Value payload(std::size_t n = 48) {
+  return Value{std::string_view{std::string(n, 'x')}};
+}
 
 void BM_ObjectStoreInsert(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -94,12 +96,16 @@ void BM_BTreeRangeScan100(benchmark::State& state) {
 BENCHMARK(BM_BTreeRangeScan100);
 
 void BM_CheckpointEncode(benchmark::State& state) {
+  // A checkpoint base through the snapshot walk the cadence uses.
   const auto n = static_cast<std::size_t>(state.range(0));
   storage::ObjectStore store(n);
+  storage::BPlusTree index;
   for (ObjectId i = 0; i < n; ++i) store.upsert(i, payload(), 0);
   for (auto _ : state) {
     ByteWriter w(n * 80);
-    storage::encode_checkpoint(store, 1, w);
+    store.snapshot_begin();
+    storage::encode_fuzzy_base(store, index, 1, w);
+    store.snapshot_end();
     benchmark::DoNotOptimize(w.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -38,6 +38,11 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   }
 }
 
+void ByteWriter::patch_u64(std::size_t offset, std::uint64_t v) {
+  patch_u32(offset, static_cast<std::uint32_t>(v));
+  patch_u32(offset + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 Status ByteReader::get_u8(std::uint8_t& out) { return get_le(out); }
 Status ByteReader::get_u16(std::uint16_t& out) { return get_le(out); }
 Status ByteReader::get_u32(std::uint32_t& out) { return get_le(out); }

@@ -44,8 +44,9 @@ class ByteWriter {
   /// Raw bytes without a length prefix.
   void put_raw(std::span<const std::byte> data);
 
-  /// Patch a previously written u32 at an absolute offset (frame lengths).
+  /// Patch a previously written u32/u64 at an absolute offset (lengths).
   void patch_u32(std::size_t offset, std::uint32_t v);
+  void patch_u64(std::size_t offset, std::uint64_t v);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::span<const std::byte> view() const { return buf_; }
@@ -92,7 +93,8 @@ class ByteReader {
     }
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i])) << (8 * i);
+      v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
+           << (8 * i);
     }
     out = v;
     pos_ += sizeof(T);

@@ -5,6 +5,23 @@
 
 namespace rodain::log {
 
+namespace {
+/// One counter per fact, whichever runtime or role ran the checkpoint.
+struct CheckpointMetrics {
+  obs::Counter& written = obs::metrics().counter("log.checkpoints");
+  obs::Counter& failures = obs::metrics().counter("log.checkpoint_failures");
+};
+CheckpointMetrics& cm() {
+  static CheckpointMetrics m;
+  return m;
+}
+}  // namespace
+
+void Checkpointer::configure(Options options) {
+  options_ = std::move(options);
+  (void)cm();  // both counters show on /metrics at 0 from here on
+}
+
 bool Checkpointer::tick(TimePoint now) {
   if (!enabled()) return false;
   if (last_run_ && now - *last_run_ < options_.interval) return false;
@@ -38,12 +55,12 @@ Status Checkpointer::run(TimePoint now, bool force) {
   running_ = false;
   if (!status) {
     ++stats_.failures;
-    obs::metrics().counter("log.checkpoint_failures").inc();
+    cm().failures.inc();
     return status;
   }
   ++stats_.checkpoints;
   stats_.last_boundary = boundary;
-  obs::metrics().counter("log.checkpoints").inc();
+  cm().written.inc();
   if (options_.log) stats_.truncated += options_.log->truncate_upto(boundary);
   return Status::ok();
 }

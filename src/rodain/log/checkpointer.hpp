@@ -36,14 +36,16 @@ class Checkpointer {
   struct Stats {
     std::uint64_t checkpoints{0};
     std::uint64_t failures{0};
-    std::uint64_t truncated{0};  ///< units reported by LogStorage::truncate_upto
+    /// Units reported by LogStorage::truncate_upto.
+    std::uint64_t truncated{0};
     ValidationTs last_boundary{0};
   };
 
   Checkpointer() = default;
-  explicit Checkpointer(Options options) : options_(std::move(options)) {}
+  explicit Checkpointer(Options options) { configure(std::move(options)); }
 
-  void configure(Options options) { options_ = std::move(options); }
+  /// Also registers log.checkpoints and log.checkpoint_failures.
+  void configure(Options options);
 
   [[nodiscard]] bool enabled() const {
     return options_.interval.is_positive() && options_.boundary &&

@@ -10,7 +10,6 @@
 #include "rodain/log/log_storage.hpp"
 #include "rodain/log/segment.hpp"
 #include "rodain/obs/obs.hpp"
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
 namespace rodain::log {
@@ -51,7 +50,11 @@ Result<std::pair<ValidationTs, bool>> load_checkpoint_or_fallback(
   if (meta.status().code() == ErrorCode::kNotFound) {
     return std::pair<ValidationTs, bool>{0, false};
   }
-  if (!log_exists) return meta.status();
+  // A refused leftover file is never skipped.
+  if (!log_exists ||
+      meta.status().code() == ErrorCode::kFailedPrecondition) {
+    return meta.status();
+  }
   // Unreadable checkpoint (torn rename, bit rot) but the log survives:
   // every committed transaction is still in the un-truncated log, so a
   // full replay from empty reconstructs the same state.
@@ -256,8 +259,9 @@ Result<std::vector<Record>> load_and_decode_segments(
     if (!decoded[i].records.is_ok()) return decoded[i].records.status();
     if (decoded[i].torn) {
       if (survivors[i].last_seq != 0) {
-        return Status::error(ErrorCode::kCorruption,
-                             "torn tail in sealed segment " + survivors[i].path);
+        return Status::error(
+            ErrorCode::kCorruption,
+            "torn tail in sealed segment " + survivors[i].path);
       }
       stats.torn_tail = true;
     }

@@ -490,9 +490,9 @@ void MirrorService::on_snapshot_done(ValidationTs boundary,
     bytes.insert(bytes.end(), c->begin(), c->end());
   }
   reset_assembly();
-  // A rejoin snapshot can be a legacy full encode (live path) or a fuzzy
-  // base+delta chain served straight off the primary's disk artifacts.
-  auto meta = storage::decode_checkpoint_any(bytes, store_, index_);
+  // A chain container either way: a one-base live encode, or the base and
+  // deltas served straight off the primary's disk artifacts.
+  auto meta = storage::decode_chain(bytes, store_, index_);
   if (!meta.is_ok()) {
     RODAIN_ERROR("snapshot decode failed: %s",
                  meta.status().to_string().c_str());

@@ -40,7 +40,6 @@
 #include "rodain/log/log_storage.hpp"
 #include "rodain/log/reorder.hpp"
 #include "rodain/repl/endpoint.hpp"
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/object_store.hpp"
 
 namespace rodain::repl {
@@ -154,8 +153,12 @@ class MirrorService {
   [[nodiscard]] TimePoint serving_last_heard() const {
     return serving_last_heard_;
   }
-  [[nodiscard]] std::size_t reorder_staged() const { return reorderer_.staged_commits(); }
-  [[nodiscard]] std::size_t reorder_open() const { return reorderer_.open_txns(); }
+  [[nodiscard]] std::size_t reorder_staged() const {
+    return reorderer_.staged_commits();
+  }
+  [[nodiscard]] std::size_t reorder_open() const {
+    return reorderer_.open_txns();
+  }
   [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
     return endpoint_.stats();
   }

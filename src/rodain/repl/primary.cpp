@@ -5,6 +5,7 @@
 
 #include "rodain/common/diag.hpp"
 #include "rodain/obs/obs.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 namespace rodain::repl {
 
@@ -207,7 +208,7 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
   }
   if (!from_disk) {
     ByteWriter w(store_.size() * 80 + 64);
-    storage::encode_checkpoint(store_, boundary, w, index_);
+    storage::encode_live_chain(store_, index_, boundary, w);
     bytes = w.take();
     // Catch-up: committed transactions past the boundary that the writer
     // already logged (the joiner drops any overlap as stale).

@@ -20,7 +20,6 @@
 #include "rodain/common/clock.hpp"
 #include "rodain/log/writer.hpp"
 #include "rodain/repl/endpoint.hpp"
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/object_store.hpp"
 
 namespace rodain::repl {
@@ -97,8 +96,12 @@ class PrimaryReplicator final : public log::Shipper {
 
   [[nodiscard]] TimePoint last_heard() const { return endpoint_.last_heard(); }
   [[nodiscard]] bool channel_connected() const { return endpoint_.connected(); }
-  [[nodiscard]] ValidationTs mirror_applied_seq() const { return mirror_applied_; }
-  [[nodiscard]] std::uint64_t snapshots_served() const { return snapshots_served_; }
+  [[nodiscard]] ValidationTs mirror_applied_seq() const {
+    return mirror_applied_;
+  }
+  [[nodiscard]] std::uint64_t snapshots_served() const {
+    return snapshots_served_;
+  }
   /// How many of those were served from the on-disk artifacts.
   [[nodiscard]] std::uint64_t snapshots_from_disk() const {
     return snapshots_from_disk_;

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <filesystem>
 
 #include "rodain/common/diag.hpp"
 #include "rodain/log/reorder.hpp"
 #include "rodain/log/segment.hpp"
 #include "rodain/obs/obs.hpp"
-#include "rodain/storage/checkpoint.hpp"
-#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 namespace rodain::rt {
 
@@ -31,15 +27,10 @@ struct NodeMetrics {
   obs::Gauge& role = obs::metrics().gauge("node.role");
   obs::Gauge& active_txns = obs::metrics().gauge("node.active_txns");
   obs::Gauge& miss_ratio = obs::metrics().gauge("node.miss_ratio");
-  /// Checkpoint observability (DESIGN.md §7, §15): flip stall time,
-  /// failed writes, and the fuzzy chain's byte/dirtiness breakdown.
+  /// Time a checkpoint holds commit_mu_ (DESIGN.md §7, §15): the flip on
+  /// a primary, the whole write on a mirror.
   obs::Timer& checkpoint_stall =
       obs::metrics().timer("node.checkpoint_stall_us");
-  obs::Counter& checkpoint_failures =
-      obs::metrics().counter("node.checkpoint_failures");
-  obs::Counter& ckpt_bytes_full = obs::metrics().counter("ckpt.bytes_full");
-  obs::Counter& ckpt_bytes_delta = obs::metrics().counter("ckpt.bytes_delta");
-  obs::Gauge& ckpt_dirty_ratio = obs::metrics().gauge("ckpt.dirty_ratio");
 };
 NodeMetrics& nm() {
   static NodeMetrics m;
@@ -98,7 +89,8 @@ Node::Node(NodeConfig config, std::string name)
     : config_(config),
       name_(std::move(name)),
       store_(config.store_capacity_hint),
-      overload_(config.overload) {
+      overload_(config.overload),
+      chain_(config.checkpoint_path, config.checkpoint_delta_limit) {
   if (config_.log_path.empty()) {
     disk_ = std::make_unique<log::MemoryLogStorage>();
   } else if (config_.log_segment_bytes > 0) {
@@ -132,12 +124,7 @@ Node::Node(NodeConfig config, std::string name)
     return engine_ ? engine_->installed_low_water() : ValidationTs{0};
   };
   ckpt.write = [this](ValidationTs b) {
-    // Fuzzy needs a primary-side engine; mirror-side checkpoints keep the
-    // legacy stop-the-world encode.
-    if (config_.fuzzy_checkpoint && engine_) {
-      return write_checkpoint_fuzzy_locked(b);
-    }
-    return write_checkpoint_at_locked(b);
+    return write_checkpoint_chain_locked(b);
   };
   ckpt.log = disk_.get();
   ckpt_.configure(std::move(ckpt));
@@ -245,7 +232,8 @@ void Node::build_primary_locked(LogMode mode) {
   link_down_since_.reset();
   mirror_.reset();
   replicator_.reset();
-  log_writer_ = std::make_unique<log::LogWriter>(LogMode::kOff, disk_.get(), nullptr);
+  log_writer_ =
+      std::make_unique<log::LogWriter>(LogMode::kOff, disk_.get(), nullptr);
   log_writer_->set_stage_clock(&clock_);
   if (peer_) {
     guarded_channel_ = std::make_unique<GuardedChannel>(*this, *peer_);
@@ -354,32 +342,37 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
   }
   timer_ = std::thread([this] { timer_loop(); });
   if (peer_) heartbeater_ = std::thread([this] { heartbeat_loop(); });
-  if (!config_.checkpoint_path.empty() &&
-      config_.checkpoint_interval.is_positive()) {
-    checkpointer_ = std::thread([this] {
-      std::unique_lock ckpt_lock(commit_mu_);
-      while (!stopping_) {
-        stop_cv_.wait_for(
-            ckpt_lock, std::chrono::microseconds(config_.checkpoint_interval.us));
-        if (stopping_ || !serving_locked()) {
-          continue;
-        }
-        if (recovery_ && recovery_->active()) {
-          // A checkpoint at the installed low-water would claim to cover
-          // deferred commits whose after-images are still parked in the
-          // redo index; wait for the sweep to drain it.
-          continue;
-        }
-        // The Checkpointer owns the cadence and truncates the log after
-        // each successful write.
-        ckpt_.tick(clock_.now());
-      }
-    });
-  }
+  start_checkpointer_locked();
   if (recovery_ && recovery_->active()) {
     sweeper_ = std::thread([this] { sweeper_loop(); });
   }
   start_sampler_locked();
+}
+
+void Node::start_checkpointer_locked() {
+  if (checkpointer_.joinable() || config_.checkpoint_path.empty() ||
+      !config_.checkpoint_interval.is_positive()) {
+    return;
+  }
+  checkpointer_ = std::thread([this] {
+    std::unique_lock ckpt_lock(commit_mu_);
+    while (!stopping_) {
+      stop_cv_.wait_for(
+          ckpt_lock, std::chrono::microseconds(config_.checkpoint_interval.us));
+      if (stopping_ || !serving_locked()) {
+        continue;
+      }
+      if (recovery_ && recovery_->active()) {
+        // A checkpoint at the installed low-water would claim to cover
+        // deferred commits whose after-images are still parked in the
+        // redo index; wait for the sweep to drain it.
+        continue;
+      }
+      // The Checkpointer owns the cadence and truncates the log after
+      // each successful write.
+      ckpt_.tick(clock_.now());
+    }
+  });
 }
 
 void Node::sweeper_loop() {
@@ -454,142 +447,28 @@ bool Node::serving_locked() const {
   return r == NodeRole::kPrimaryWithMirror || r == NodeRole::kPrimaryAlone;
 }
 
-Status Node::write_checkpoint_at_locked(ValidationTs boundary) {
-  // The whole encode counts as stall: commit_mu_ is held throughout, so
-  // every committer waits for the full store walk (the cost the fuzzy
-  // path exists to avoid).
-  obs::ScopedTimer stall(nm().checkpoint_stall);
-  Status s = storage::write_checkpoint_file(store_, boundary,
-                                            config_.checkpoint_path, &index_);
-  if (s) {
-    RODAIN_INFO("%s: checkpoint written at boundary %llu", name_.c_str(),
-                static_cast<unsigned long long>(boundary));
-    obs::metrics().counter("node.checkpoints").inc();
-    if (obs::tracing_enabled()) {
-      obs::tracer().record_instant(obs::Phase::kCheckpoint, boundary);
-    }
-  } else {
-    nm().checkpoint_failures.inc();
-  }
-  return s;
-}
-
-Status Node::write_checkpoint_fuzzy_locked(ValidationTs boundary) {
-  // Phase 1 — the only part committers ever wait for: flip the store into
-  // snapshot mode and start (or cut) the index journal under writer
-  // exclusion. O(retain stripes), independent of store size.
-  std::uint64_t capture = 0;
-  bool base = false;
-  std::vector<storage::IndexOp> journal;
-  {
+Status Node::write_checkpoint_chain_locked(ValidationTs boundary) {
+  Status s = Status::ok();
+  if (!engine_) {
     obs::ScopedTimer stall(nm().checkpoint_stall);
-    // A base is forced when there is no chain to extend, when the chain is
-    // long enough that replaying deltas would dominate recovery, or when
-    // the journal was lost (e.g. a failed base write disabled it).
-    base = !ckpt_have_base_ ||
-           ckpt_deltas_since_base_ >= config_.checkpoint_delta_limit ||
-           !index_.journal_enabled();
-    capture = store_.snapshot_begin();
-    if (base) {
-      index_.set_journal(true);
-    } else {
-      journal = index_.cut_journal();
-    }
-  }
-
-  // Phase 2 — encode and persist off-lock. Committers keep running; any
-  // record they would overwrite before the walker reaches it is retained
-  // as a pre-image by the store. Dropping commit_mu_ here is safe: ckpt_
-  // is single-flight (running_ guard), and stop() joins the checkpointer
-  // thread before tearing down engine_/store_/index_.
-  commit_mu_.unlock();
-  const std::uint64_t floor = base ? 0 : ckpt_floor_epoch_;
-  ByteWriter w(store_.size() * 80 + 64);
-  storage::FuzzyEncodeStats stats;
-  if (base) {
-    stats = storage::encode_fuzzy_base(store_, index_, boundary, w);
+    s = chain_.write(store_, index_, boundary);
   } else {
-    stats = storage::encode_fuzzy_delta(store_, journal, boundary, floor, w);
-  }
-  const std::string suffix =
-      (base ? ".b" : ".d") + std::to_string(capture);
-  const std::string path = config_.checkpoint_path + suffix;
-  Status s = storage::write_file_atomic(path, w.view());
-  storage::CkptManifest next;
-  if (s) {
-    if (!base) next = ckpt_chain_;
-    storage::ManifestEntry entry;
-    entry.kind = base ? storage::ManifestEntry::Kind::kBase
-                      : storage::ManifestEntry::Kind::kDelta;
-    entry.boundary = boundary;
-    entry.capture_epoch = capture;
-    entry.bytes = stats.bytes;
-    entry.file =
-        std::filesystem::path(config_.checkpoint_path).filename().string() +
-        suffix;
-    next.entries.push_back(std::move(entry));
-    s = storage::write_manifest_file(
-        next, storage::manifest_path_for(config_.checkpoint_path));
-    if (!s) std::remove(path.c_str());  // unreferenced artifact: delete it
-  }
-  commit_mu_.lock();
-  store_.snapshot_end();
-
-  if (!s) {
-    nm().checkpoint_failures.inc();
-    if (base) {
-      // The journal started in phase 1 only covers ops since this failed
-      // base; keeping it would let a later delta chain onto a chain whose
-      // base never landed. Force the next attempt to be a base.
-      index_.set_journal(false);
-      ckpt_have_base_ = false;
-    } else {
-      // Put the cut ops back so the next delta still covers them.
-      index_.restore_journal(std::move(journal));
+    storage::CheckpointChain::Flip flip;
+    {
+      obs::ScopedTimer stall(nm().checkpoint_stall);
+      flip = chain_.flip(store_, index_, boundary);
     }
-    return s;
+    // Committers run during the encode; any record they overwrite before
+    // the walker reaches it is retained as a pre-image by the store.
+    commit_mu_.unlock();
+    s = chain_.encode(flip, store_, index_);
+    commit_mu_.lock();
+    s = chain_.finish(flip, store_, index_, std::move(s));
   }
-
-  // Prune artifacts the new manifest no longer references (a replaced
-  // chain after a base, or nothing after a delta).
-  for (const storage::ManifestEntry& old : ckpt_chain_.entries) {
-    const bool kept =
-        std::any_of(next.entries.begin(), next.entries.end(),
-                    [&](const storage::ManifestEntry& e) {
-                      return e.file == old.file;
-                    });
-    if (!kept) {
-      std::remove(
-          storage::sibling_path(config_.checkpoint_path, old.file).c_str());
-    }
-  }
-  ckpt_chain_ = std::move(next);
-  ckpt_have_base_ = true;
-  ckpt_deltas_since_base_ = base ? 0 : ckpt_deltas_since_base_ + 1;
-  ckpt_floor_epoch_ = capture;
-  if (base) {
-    nm().ckpt_bytes_full.inc(stats.bytes);
-    nm().ckpt_dirty_ratio.set(1.0);
-  } else {
-    nm().ckpt_bytes_delta.inc(stats.bytes);
-    const std::size_t live = store_.size();
-    nm().ckpt_dirty_ratio.set(
-        live == 0 ? 0.0
-                  : static_cast<double>(stats.records) /
-                        static_cast<double>(live));
-  }
-  RODAIN_INFO("%s: fuzzy %s checkpoint at boundary %llu (epoch %llu, "
-              "%llu records, %llu bytes)",
-              name_.c_str(), base ? "base" : "delta",
-              static_cast<unsigned long long>(boundary),
-              static_cast<unsigned long long>(capture),
-              static_cast<unsigned long long>(stats.records),
-              static_cast<unsigned long long>(stats.bytes));
-  obs::metrics().counter("node.checkpoints").inc();
-  if (obs::tracing_enabled()) {
+  if (s && obs::tracing_enabled()) {
     obs::tracer().record_instant(obs::Phase::kCheckpoint, boundary);
   }
-  return Status::ok();
+  return s;
 }
 
 Status Node::write_checkpoint_locked() {
@@ -631,7 +510,7 @@ std::optional<repl::JoinArtifacts> Node::join_artifacts_locked() {
   }
   auto ckpt = storage::read_artifact_chain_bytes(config_.checkpoint_path);
   if (!ckpt.is_ok()) return std::nullopt;
-  const ValidationTs boundary = ckpt.value().meta.last_applied;
+  const ValidationTs boundary = ckpt.value().boundary;
   const ValidationTs low_water = engine_ ? engine_->installed_low_water() : 0;
   if (boundary > low_water) {
     // Never serve a snapshot claiming more than the engine installed.
@@ -687,7 +566,8 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
   // window from here to the first post-restart commit is the restart
   // downtime the flight recorder reports.
   availability_.set_serving(false, clock_.now().us);
-  const bool instant = config_.instant_recovery && config_.log_segment_bytes > 0;
+  const bool instant =
+      config_.instant_recovery && config_.log_segment_bytes > 0;
   Result<log::RecoveryStats> stats = [&]() -> Result<log::RecoveryStats> {
     if (instant) {
       // Instant recovery (DESIGN.md §12): load the checkpoint, index the
@@ -702,8 +582,9 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
                ? log::recover_checkpoint_and_segments(config_.checkpoint_path,
                                                       config_.log_path, store_,
                                                       &index_)
-               : log::recover_checkpoint_and_log(
-                     config_.checkpoint_path, config_.log_path, store_, &index_);
+               : log::recover_checkpoint_and_log(config_.checkpoint_path,
+                                                 config_.log_path, store_,
+                                                 &index_);
   }();
   if (instant) {
     if (!stats.is_ok() || !recovery_->active()) {
@@ -728,10 +609,11 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
           static_cast<unsigned long long>(stats.value().deferred_txns),
           static_cast<unsigned long long>(recovered_next_seq_));
     } else {
-      RODAIN_INFO("%s: local recovery done (%llu txns replayed, next seq %llu)",
-                  name_.c_str(),
-                  static_cast<unsigned long long>(stats.value().committed_applied),
-                  static_cast<unsigned long long>(recovered_next_seq_));
+      RODAIN_INFO(
+          "%s: local recovery done (%llu txns replayed, next seq %llu)",
+          name_.c_str(),
+          static_cast<unsigned long long>(stats.value().committed_applied),
+          static_cast<unsigned long long>(recovered_next_seq_));
     }
     if (obs::tracing_enabled()) {
       obs::tracer().record_instant(obs::Phase::kRecovery,
@@ -739,6 +621,23 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
     }
   }
   return stats;
+}
+
+repl::MirrorService::Options Node::mirror_options_locked() {
+  repl::MirrorService::Options options;
+  options.store_to_disk = true;
+  options.on_synced = [this] { become_locked(NodeRole::kMirror); };
+  options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
+  if (!config_.checkpoint_path.empty() &&
+      config_.checkpoint_interval.is_positive()) {
+    // Checkpoints ride the apply path: MirrorService polls the cadence and
+    // truncates the stored log after each write (DESIGN.md §10).
+    options.checkpoint_interval = config_.checkpoint_interval;
+    options.write_checkpoint = [this](ValidationTs boundary) {
+      return write_checkpoint_chain_locked(boundary);
+    };
+  }
+  return options;
 }
 
 void Node::start_mirror(net::Channel& peer, ValidationTs expected_next) {
@@ -750,27 +649,14 @@ void Node::start_mirror(net::Channel& peer, ValidationTs expected_next) {
     stopping_ = false;
   }
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
-  repl::MirrorService::Options options;
-  options.store_to_disk = true;
-  options.on_synced = [this] { become_locked(NodeRole::kMirror); };
-  options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
-  if (!config_.checkpoint_path.empty() &&
-      config_.checkpoint_interval.is_positive()) {
-    // Checkpoints ride the apply path: MirrorService polls the cadence and
-    // truncates the stored log after each write (DESIGN.md §10).
-    options.checkpoint_interval = config_.checkpoint_interval;
-    options.write_checkpoint = [this](ValidationTs boundary) {
-      return write_checkpoint_at_locked(boundary);
-    };
-  }
   if (recovery_ && recovery_->active()) {
     // The peer's stream supersedes whatever the local log still owed.
     recovery_->abandon();
     finish_recovery_locked("superseded by mirror role");
   }
-  mirror_ = std::make_unique<repl::MirrorService>(store_, disk_.get(),
-                                                  *guarded_channel_, clock_,
-                                                  options, &index_);
+  mirror_ = std::make_unique<repl::MirrorService>(
+      store_, disk_.get(), *guarded_channel_, clock_, mirror_options_locked(),
+      &index_);
   mirror_->attach_synced(expected_next);
   become_locked(NodeRole::kMirror);
   heartbeater_ = std::thread([this] { heartbeat_loop(); });
@@ -786,28 +672,15 @@ void Node::start_rejoin(net::Channel& peer) {
     stopping_ = false;
   }
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
-  repl::MirrorService::Options options;
-  options.store_to_disk = true;
-  options.on_synced = [this] { become_locked(NodeRole::kMirror); };
-  options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
-  if (!config_.checkpoint_path.empty() &&
-      config_.checkpoint_interval.is_positive()) {
-    // Checkpoints ride the apply path: MirrorService polls the cadence and
-    // truncates the stored log after each write (DESIGN.md §10).
-    options.checkpoint_interval = config_.checkpoint_interval;
-    options.write_checkpoint = [this](ValidationTs boundary) {
-      return write_checkpoint_at_locked(boundary);
-    };
-  }
   if (recovery_ && recovery_->active()) {
     // The snapshot about to install supersedes the local log's deferred
     // chains; applying them afterwards would clobber newer state.
     recovery_->abandon();
     finish_recovery_locked("superseded by snapshot rejoin");
   }
-  mirror_ = std::make_unique<repl::MirrorService>(store_, disk_.get(),
-                                                  *guarded_channel_, clock_,
-                                                  options, &index_);
+  mirror_ = std::make_unique<repl::MirrorService>(
+      store_, disk_.get(), *guarded_channel_, clock_, mirror_options_locked(),
+      &index_);
   become_locked(NodeRole::kRecovering);
   RODAIN_INFO("%s: rejoining via snapshot + catch-up", name_.c_str());
   mirror_->request_join(0);
@@ -838,6 +711,9 @@ void Node::take_over_locked() {
     }
     timer_ = std::thread([this] { timer_loop(); });
   }
+  // The mirror's cadence died with mirror_; the survivor's extends the
+  // same chain.
+  start_checkpointer_locked();
 }
 
 void Node::stop() {
@@ -920,8 +796,8 @@ void Node::submit(txn::TxnProgram program, DoneFn done) {
               ? TimePoint::max()
               : now + program.relative_deadline;
       Active a;
-      a.txn = std::make_unique<txn::Transaction>(id, ++admission_seq_,
-                                                 std::move(program), now, deadline);
+      a.txn = std::make_unique<txn::Transaction>(
+          id, ++admission_seq_, std::move(program), now, deadline);
       a.done = std::move(done);
       if (obs::enabled()) a.txn->stages.enter(obs::Stage::kAdmit, now.us);
       engine_->begin(*a.txn);

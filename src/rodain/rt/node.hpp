@@ -41,7 +41,7 @@
 #include "rodain/repl/primary.hpp"
 #include "rodain/log/recovery.hpp"
 #include "rodain/sched/overload.hpp"
-#include "rodain/storage/ckpt_manifest.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 namespace rodain::rt {
 
@@ -56,19 +56,16 @@ struct NodeConfig {
   /// then a directory, sealed segments rotate at this size, and every
   /// successful checkpoint truncates segments below its boundary.
   std::size_t log_segment_bytes{0};
-  /// Periodic full checkpoints (bounding restart-recovery work). Empty
-  /// path or zero interval disables the daemon.
+  /// Periodic checkpoints (bounding restart-recovery work), in every role:
+  /// a chain of base and delta files named by `<checkpoint_path>.manifest`
+  /// (DESIGN.md §15). Empty path or zero interval disables the cadence.
   std::string checkpoint_path{};
   Duration checkpoint_interval{Duration::zero()};
-  /// Fuzzy checkpoints (DESIGN.md §15): a primary writes checkpoints without
-  /// stalling committers — an O(1) snapshot-epoch flip under the commit
-  /// mutex, then the encoder walks the store off-lock while writes proceed,
-  /// alternating full base files with incremental delta files chained by
-  /// `<checkpoint_path>.manifest`. Off (or no engine: mirror-side
-  /// checkpoints) falls back to the legacy stop-the-world full encode.
+  /// Inert: the chain above is the only checkpoint format, so there is
+  /// nothing left to switch. Kept because rtbench sets and prints it.
   bool fuzzy_checkpoint{true};
-  /// Deltas written between full bases in fuzzy mode; the next checkpoint
-  /// after this many deltas re-bases the chain.
+  /// Deltas written between full bases; the next checkpoint after this many
+  /// deltas re-bases the chain.
   std::size_t checkpoint_delta_limit{4};
   /// Instant recovery (DESIGN.md §12, segmented log only):
   /// recover_from_local_state loads the checkpoint and *indexes* the
@@ -208,10 +205,13 @@ class Node {
   /// replication objects.
   class GuardedChannel final : public net::Channel {
    public:
-    GuardedChannel(Node& node, net::Channel& inner) : node_(node), inner_(inner) {}
+    GuardedChannel(Node& node, net::Channel& inner)
+        : node_(node), inner_(inner) {}
     void set_message_handler(MessageHandler handler) override;
     void set_disconnect_handler(DisconnectHandler handler) override;
-    Status send(std::vector<std::byte> frame) override { return inner_.send(std::move(frame)); }
+    Status send(std::vector<std::byte> frame) override {
+      return inner_.send(std::move(frame));
+    }
     [[nodiscard]] bool connected() const override { return inner_.connected(); }
     void close() override { inner_.close(); }
 
@@ -230,14 +230,18 @@ class Node {
   void take_over_locked();
   bool serving_locked() const;
   Status write_checkpoint_locked();
-  Status write_checkpoint_at_locked(ValidationTs boundary);
-  /// Fuzzy checkpoint write (DESIGN.md §15): flips the snapshot epoch under
-  /// commit_mu_ (the only stall, O(1)), then RELEASES commit_mu_ for
-  /// the encode and file write, re-acquiring it before returning. Safe
-  /// because the Checkpointer's single-flight guard rejects concurrent
-  /// runs and stop() joins the checkpointer thread before tearing the
-  /// engine down. Entered and exited with commit_mu_ held.
-  Status write_checkpoint_fuzzy_locked(ValidationTs boundary);
+  /// One write of chain_ (DESIGN.md §15), entered and exited with
+  /// commit_mu_ held. A primary holds it only for the O(1) flip and
+  /// RELEASES it for the encode and file writes: safe because the
+  /// Checkpointer's single-flight guard rejects concurrent runs and stop()
+  /// joins the checkpointer thread before tearing the engine down. A
+  /// mirror holds it throughout: MirrorService::poll calls in under it,
+  /// and a snapshot install must never run under the walker.
+  Status write_checkpoint_chain_locked(ValidationTs boundary);
+  /// Starts the cadence thread of a serving node, when one is configured.
+  void start_checkpointer_locked();
+  /// Mirror-role options shared by start_mirror and start_rejoin.
+  repl::MirrorService::Options mirror_options_locked();
   /// Disk-served join (DESIGN.md §12): checkpoint bytes + the log records
   /// covering (boundary, installed_low_water], or nullopt when the on-disk
   /// artifacts cannot vouch for dense coverage (then the replicator falls
@@ -388,14 +392,9 @@ class Node {
   /// Cadence + truncation driver behind the checkpointer thread (under
   /// commit_mu_).
   log::Checkpointer ckpt_;
-  /// Fuzzy checkpoint chain state (under commit_mu_ at mutation points; the
-  /// encode itself runs off-lock behind ckpt_'s single-flight guard). A
-  /// fresh process always starts the chain with a new base: the previous
-  /// chain's floor epoch is meaningless against a restarted store.
-  bool ckpt_have_base_{false};
-  std::size_t ckpt_deltas_since_base_{0};
-  std::uint64_t ckpt_floor_epoch_{0};
-  storage::CkptManifest ckpt_chain_;
+  /// The checkpoint chain every role writes: the mirror's cadence, then
+  /// the survivor's after a takeover, extend the same chain.
+  storage::CheckpointChain chain_;
 };
 
 }  // namespace rodain::rt

@@ -33,21 +33,9 @@ SimNode::SimNode(sim::Simulation& sim, std::string name, NodeId id,
     };
     // The simulator has no checkpoint file: the cadence exists for its
     // side effect — the Checkpointer truncates the modelled log below
-    // each boundary. The write's commit-path cost is modelled as a
-    // top-priority CPU burst: the constant flip for a fuzzy checkpoint,
-    // the whole store walk for a stop-the-world encode.
-    ckpt.write = [this](ValidationTs) {
-      const Duration stall =
-          config_.fuzzy_checkpoint
-              ? config_.checkpoint_flip_cost
-              : config_.checkpoint_cost_per_record *
-                    static_cast<std::int64_t>(store_.live_size());
-      if (stall.is_positive()) {
-        cpu_.submit(PriorityKey{Criticality::kFirm, TimePoint{}, 0}, stall,
-                    [] {});
-      }
-      return Status::ok();
-    };
+    // each boundary. The flip is the write's only commit-path cost, and
+    // it is modelled as free.
+    ckpt.write = [](ValidationTs) { return Status::ok(); };
     ckpt.log = disk_.get();
     ckpt_.configure(std::move(ckpt));
   }
@@ -280,8 +268,8 @@ void SimNode::recover_and_rejoin() {
 void SimNode::schedule_heartbeat() {
   if (!channel_) return;  // lone node: no peer, no watchdog traffic
   if (heartbeat_event_ != sim::kInvalidEvent) sim_.cancel(heartbeat_event_);
-  heartbeat_event_ =
-      sim_.schedule_after(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+  heartbeat_event_ = sim_.schedule_after(config_.heartbeat_interval,
+                                         [this] { heartbeat_tick(); });
 }
 
 void SimNode::heartbeat_tick() {
@@ -497,11 +485,12 @@ void SimNode::submit(txn::TxnProgram program, DoneFn done) {
   if (!overload_.try_admit(now)) {
     bool admitted = false;
     if (config_.overload.displace_on_admission) {
-      const PriorityKey arriving{program.criticality,
-                                 program.criticality == Criticality::kNonRealTime
-                                     ? TimePoint::max()
-                                     : now + program.relative_deadline,
-                                 admission_seq_ + 1};
+      const PriorityKey arriving{
+          program.criticality,
+          program.criticality == Criticality::kNonRealTime
+              ? TimePoint::max()
+              : now + program.relative_deadline,
+          admission_seq_ + 1};
       TxnId victim = kInvalidTxn;
       const txn::Transaction* lowest = nullptr;
       for (const auto& [vid, a] : active_) {
@@ -532,8 +521,8 @@ void SimNode::submit(txn::TxnProgram program, DoneFn done) {
       program.criticality == Criticality::kNonRealTime
           ? TimePoint::max()
           : now + program.relative_deadline;
-  auto txn = std::make_unique<txn::Transaction>(id, ++admission_seq_,
-                                                std::move(program), now, deadline);
+  auto txn = std::make_unique<txn::Transaction>(
+      id, ++admission_seq_, std::move(program), now, deadline);
 
   Active a;
   a.txn = std::move(txn);
@@ -567,24 +556,23 @@ void SimNode::run_step(TxnId id) {
   const engine::StepResult r = engine_->step(*a.txn);
   const Criticality crit = a.txn->criticality();
   const PriorityKey key = dispatch_key(*a.txn);
-  a.job = cpu_.submit(key, r.cost,
-                      [this, id, action = r.action, cost = r.cost, crit] {
-                        nonrt_queued_.erase(id);
-                        reservation_.charge(crit, cost);
-                        // The reservation may have fallen behind its share:
-                        // promote a waiting non-RT step in place.
-                        if (!nonrt_queued_.empty() && reservation_.should_boost()) {
-                          const TxnId starved = *nonrt_queued_.begin();
-                          nonrt_queued_.erase(nonrt_queued_.begin());
-                          if (auto sit = active_.find(starved); sit != active_.end()) {
-                            cpu_.reprioritize(
-                                sit->second.job,
-                                sched::NonRtReservation::boost_key(
-                                    sit->second.txn->priority().seq));
-                          }
-                        }
-                        on_step_done(id, action, cost);
-                      });
+  a.job = cpu_.submit(
+      key, r.cost, [this, id, action = r.action, cost = r.cost, crit] {
+        nonrt_queued_.erase(id);
+        reservation_.charge(crit, cost);
+        // The reservation may have fallen behind its share: promote a
+        // waiting non-RT step in place.
+        if (!nonrt_queued_.empty() && reservation_.should_boost()) {
+          const TxnId starved = *nonrt_queued_.begin();
+          nonrt_queued_.erase(nonrt_queued_.begin());
+          if (auto sit = active_.find(starved); sit != active_.end()) {
+            cpu_.reprioritize(sit->second.job,
+                              sched::NonRtReservation::boost_key(
+                                  sit->second.txn->priority().seq));
+          }
+        }
+        on_step_done(id, action, cost);
+      });
   if (crit == Criticality::kNonRealTime &&
       key.crit == Criticality::kNonRealTime) {
     nonrt_queued_.insert(id);  // running at background priority

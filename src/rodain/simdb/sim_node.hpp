@@ -71,15 +71,6 @@ struct SimNodeConfig {
   /// backlog and log-size behaviour match a node with real checkpoints.
   /// Zero disables the cadence (historical behaviour).
   Duration checkpoint_interval{Duration::zero()};
-  /// Model the commit-path cost of the checkpoint write. A fuzzy
-  /// checkpoint (default, matching rt::Node) charges only the constant
-  /// snapshot-flip cost at top priority; a stop-the-world encode charges
-  /// checkpoint_cost_per_record for every live record, so queued
-  /// transaction steps stall behind the whole store walk. Zero costs keep
-  /// the historical instantaneous write.
-  bool fuzzy_checkpoint{true};
-  Duration checkpoint_flip_cost{Duration::zero()};
-  Duration checkpoint_cost_per_record{Duration::zero()};
   /// Instant restart (DESIGN.md §12): restart_from_disk() indexes the
   /// stored log and serves after takeover_activation, replaying deferred
   /// chains on first touch plus background sweep events. False models the
@@ -109,7 +100,9 @@ class SimNode {
 
   /// Attach the channel toward the peer node (before starting a role).
   void connect(net::Channel& channel) { channel_ = &channel; }
-  void set_role_change_handler(RoleChangeFn fn) { on_role_change_ = std::move(fn); }
+  void set_role_change_handler(RoleChangeFn fn) {
+    on_role_change_ = std::move(fn);
+  }
 
   // ---- lifecycle -------------------------------------------------------
   /// Serve transactions. kMirror ships logs to the peer; kDirectDisk logs
@@ -148,7 +141,8 @@ class SimNode {
   [[nodiscard]] NodeRole role() const { return role_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool serving() const {
-    return role_ == NodeRole::kPrimaryWithMirror || role_ == NodeRole::kPrimaryAlone;
+    return role_ == NodeRole::kPrimaryWithMirror ||
+           role_ == NodeRole::kPrimaryAlone;
   }
 
   // ---- data ------------------------------------------------------------
@@ -163,7 +157,9 @@ class SimNode {
   /// serializability property tests and by telemetry.
   using TxnObserver =
       std::function<void(const txn::Transaction&, const TxnResult&)>;
-  void set_txn_observer(TxnObserver observer) { observer_ = std::move(observer); }
+  void set_txn_observer(TxnObserver observer) {
+    observer_ = std::move(observer);
+  }
 
   // ---- telemetry -------------------------------------------------------
   [[nodiscard]] const TxnCounters& counters() const { return counters_; }

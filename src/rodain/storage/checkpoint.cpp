@@ -9,96 +9,6 @@
 namespace rodain::storage {
 
 namespace {
-constexpr std::uint64_t kMagic = kCheckpointMagic;  // "ROD CKT1"-ish tag
-constexpr std::uint32_t kVersion = 2;  // v2 adds the optional index section
-}  // namespace
-
-void encode_checkpoint(const ObjectStore& store, ValidationTs last_applied,
-                       ByteWriter& out, const BPlusTree* index) {
-  const std::size_t body_start = out.size();
-  out.put_u64(kMagic);
-  out.put_u32(kVersion);
-  out.put_u64(last_applied);
-  out.put_u64(store.live_size());  // tombstones are compacted away
-  store.for_each([&](ObjectId id, const ObjectRecord& rec) {
-    if (rec.deleted) return;
-    out.put_u64(id);
-    out.put_u64(rec.wts);
-    out.put_bytes(rec.value.view());
-  });
-  out.put_varint(index ? index->size() : 0);
-  if (index) {
-    index->range_scan(IndexKey::min(), IndexKey::max(),
-                      [&](const IndexKey& key, ObjectId oid) {
-                        out.put_raw(std::as_bytes(std::span{key.bytes}));
-                        out.put_varint(oid);
-                        return true;
-                      });
-  }
-  const auto body = out.view().subspan(body_start);
-  out.put_u32(crc32c(body));
-}
-
-Result<CheckpointMeta> decode_checkpoint(std::span<const std::byte> data,
-                                         ObjectStore& store,
-                                         BPlusTree* index) {
-  if (data.size() < 4) {
-    return Status::error(ErrorCode::kCorruption, "checkpoint too short");
-  }
-  const auto body = data.subspan(0, data.size() - 4);
-  ByteReader crc_reader(data.subspan(data.size() - 4));
-  std::uint32_t expect = 0;
-  if (auto s = crc_reader.get_u32(expect); !s) return s;
-  if (crc32c(body) != expect) {
-    return Status::error(ErrorCode::kCorruption, "checkpoint CRC mismatch");
-  }
-
-  ByteReader r(body);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  CheckpointMeta meta;
-  if (auto s = r.get_u64(magic); !s) return s;
-  if (magic != kMagic) {
-    return Status::error(ErrorCode::kCorruption, "bad checkpoint magic");
-  }
-  if (auto s = r.get_u32(version); !s) return s;
-  if (version != 1 && version != kVersion) {
-    return Status::error(ErrorCode::kCorruption, "unsupported checkpoint version");
-  }
-  if (auto s = r.get_u64(meta.last_applied); !s) return s;
-  if (auto s = r.get_u64(meta.object_count); !s) return s;
-
-  store.clear();
-  if (index) *index = BPlusTree{};
-  for (std::uint64_t i = 0; i < meta.object_count; ++i) {
-    std::uint64_t id = 0;
-    std::uint64_t wts = 0;
-    std::vector<std::byte> value;
-    if (auto s = r.get_u64(id); !s) return s;
-    if (auto s = r.get_u64(wts); !s) return s;
-    if (auto s = r.get_bytes(value); !s) return s;
-    store.upsert(id, Value{std::span<const std::byte>{value}}, wts);
-  }
-  if (version >= 2) {
-    std::uint64_t index_count = 0;
-    if (auto s = r.get_varint(index_count); !s) return s;
-    for (std::uint64_t i = 0; i < index_count; ++i) {
-      IndexKey key;
-      std::span<const std::byte> raw;
-      std::uint64_t oid = 0;
-      if (auto s = r.get_raw(key.bytes.size(), raw); !s) return s;
-      std::memcpy(key.bytes.data(), raw.data(), raw.size());
-      if (auto s = r.get_varint(oid); !s) return s;
-      if (index) index->insert(key, oid);
-    }
-  }
-  if (!r.at_end()) {
-    return Status::error(ErrorCode::kCorruption, "trailing checkpoint bytes");
-  }
-  return meta;
-}
-
-namespace {
 /// Flush directory metadata so a rename survives power loss.
 Status fsync_parent_dir(const std::string& path) {
   std::string dir = std::filesystem::path(path).parent_path().string();
@@ -142,13 +52,6 @@ Status write_file_atomic(const std::string& path,
   return fsync_parent_dir(path);
 }
 
-Status write_checkpoint_file(const ObjectStore& store, ValidationTs last_applied,
-                             const std::string& path, const BPlusTree* index) {
-  ByteWriter w(store.size() * 80 + 64);
-  encode_checkpoint(store, last_applied, w, index);
-  return write_file_atomic(path, w.view());
-}
-
 Result<std::vector<std::byte>> read_file_bytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return Status::error(ErrorCode::kNotFound, "cannot open " + path);
@@ -170,54 +73,6 @@ Result<std::vector<std::byte>> read_file_bytes(const std::string& path) {
   std::fclose(f);
   if (!ok) return Status::error(ErrorCode::kIoError, "short checkpoint read");
   return buf;
-}
-
-Result<CheckpointMeta> read_checkpoint_file(const std::string& path,
-                                            ObjectStore& store,
-                                            BPlusTree* index) {
-  auto buf = read_file_bytes(path);
-  if (!buf.is_ok()) return buf.status();
-  return decode_checkpoint(buf.value(), store, index);
-}
-
-Result<CheckpointMeta> peek_checkpoint(std::span<const std::byte> data) {
-  if (data.size() < 4) {
-    return Status::error(ErrorCode::kCorruption, "checkpoint too short");
-  }
-  const auto body = data.subspan(0, data.size() - 4);
-  ByteReader crc_reader(data.subspan(data.size() - 4));
-  std::uint32_t expect = 0;
-  if (auto s = crc_reader.get_u32(expect); !s) return s;
-  if (crc32c(body) != expect) {
-    return Status::error(ErrorCode::kCorruption, "checkpoint CRC mismatch");
-  }
-  ByteReader r(body);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  CheckpointMeta meta;
-  if (auto s = r.get_u64(magic); !s) return s;
-  if (magic != kMagic) {
-    return Status::error(ErrorCode::kCorruption, "bad checkpoint magic");
-  }
-  if (auto s = r.get_u32(version); !s) return s;
-  if (version != 1 && version != kVersion) {
-    return Status::error(ErrorCode::kCorruption,
-                         "unsupported checkpoint version");
-  }
-  if (auto s = r.get_u64(meta.last_applied); !s) return s;
-  if (auto s = r.get_u64(meta.object_count); !s) return s;
-  return meta;
-}
-
-Result<CheckpointBytes> read_checkpoint_bytes(const std::string& path) {
-  auto buf = read_file_bytes(path);
-  if (!buf.is_ok()) return buf.status();
-  CheckpointBytes out;
-  out.bytes = std::move(buf).value();
-  auto meta = peek_checkpoint(out.bytes);
-  if (!meta.is_ok()) return meta.status();
-  out.meta = meta.value();
-  return out;
 }
 
 }  // namespace rodain::storage

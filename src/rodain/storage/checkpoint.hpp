@@ -1,10 +1,11 @@
-// Whole-database checkpoints.
+// Checkpoint file primitives.
 //
-// Two consumers: (1) the disk backup a lone node recovers from ("recover
-// from the backup on the disk", paper §4), and (2) snapshot shipping when a
-// recovered node rejoins as Mirror and needs the current database copy
-// before log catch-up. Both use the same CRC-protected encoding; only the
-// sink differs (file vs. network chunks).
+// A checkpoint is the disk backup a lone node recovers from ("recover from
+// the backup on the disk", paper §4) and the snapshot a rejoining mirror
+// installs before log catch-up. Its one format is the base/delta chain of
+// fuzzy_checkpoint.hpp, named by the manifest of ckpt_manifest.hpp; this
+// header holds what every artifact of it shares: the magic, the metadata a
+// load reports, and the atomic whole-file write and read.
 #pragma once
 
 #include <cstdint>
@@ -12,34 +13,19 @@
 #include <string>
 #include <vector>
 
-#include "rodain/common/serialization.hpp"
 #include "rodain/common/status.hpp"
 #include "rodain/common/types.hpp"
-#include "rodain/storage/btree.hpp"
-#include "rodain/storage/object_store.hpp"
 
 namespace rodain::storage {
 
-/// Shared on-disk magic for every checkpoint artifact (legacy full files and
-/// fuzzy base/delta files alike); the version field distinguishes layouts.
+/// On-disk magic of every checkpoint artifact; the version field
+/// distinguishes layouts.
 inline constexpr std::uint64_t kCheckpointMagic = 0x31544b4344'4f52ULL;
 
 struct CheckpointMeta {
   ValidationTs last_applied{0};  ///< every txn with ts <= this is included
   std::uint64_t object_count{0};
 };
-
-/// Serialize the full store, and optionally the secondary index (so a
-/// cold start or a joining mirror rebuilds both). `last_applied` is the
-/// validation-timestamp high-water mark the snapshot is consistent with.
-void encode_checkpoint(const ObjectStore& store, ValidationTs last_applied,
-                       ByteWriter& out, const BPlusTree* index = nullptr);
-
-/// Rebuild `store` (cleared first) — and `index`, when provided and the
-/// checkpoint carries an index section — from an encoded checkpoint.
-Result<CheckpointMeta> decode_checkpoint(std::span<const std::byte> data,
-                                         ObjectStore& store,
-                                         BPlusTree* index = nullptr);
 
 /// Durably write `bytes` to `path` via write-to-temp + fsync + rename +
 /// parent-dir fsync. The temp file (`path + ".tmp"`) is unlinked on every
@@ -50,26 +36,5 @@ Status write_file_atomic(const std::string& path,
 /// Read a whole file. kNotFound for a missing or zero-length file (the
 /// latter is what a crash between create and first write leaves behind).
 Result<std::vector<std::byte>> read_file_bytes(const std::string& path);
-
-/// File convenience wrappers (atomic via write-to-temp + rename).
-Status write_checkpoint_file(const ObjectStore& store, ValidationTs last_applied,
-                             const std::string& path,
-                             const BPlusTree* index = nullptr);
-Result<CheckpointMeta> read_checkpoint_file(const std::string& path,
-                                            ObjectStore& store,
-                                            BPlusTree* index = nullptr);
-
-/// Validate (CRC + header) and parse only the metadata of an encoded
-/// checkpoint — no store rebuild. Cheap enough for the join-serving path.
-Result<CheckpointMeta> peek_checkpoint(std::span<const std::byte> data);
-
-/// The raw on-disk checkpoint plus its peeked metadata, for serving a join
-/// directly from the artifact instead of re-encoding the live store.
-/// kNotFound for a missing or zero-length file (same as read_checkpoint_file).
-struct CheckpointBytes {
-  std::vector<std::byte> bytes;
-  CheckpointMeta meta;
-};
-Result<CheckpointBytes> read_checkpoint_bytes(const std::string& path);
 
 }  // namespace rodain::storage

@@ -38,7 +38,7 @@ struct CkptManifest {
   }
 };
 
-/// `<checkpoint_path>.manifest` — sibling of the legacy single-file path.
+/// `<checkpoint_path>.manifest`; the artifacts it names are its siblings.
 [[nodiscard]] std::string manifest_path_for(const std::string& checkpoint_path);
 
 /// Resolve a manifest entry's basename against the manifest's directory.

@@ -1,7 +1,12 @@
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+
+#include "rodain/common/diag.hpp"
+#include "rodain/obs/obs.hpp"
 
 namespace rodain::storage {
 
@@ -30,10 +35,12 @@ Result<std::span<const std::byte>> checked_body(
 }
 
 /// Parse the fixed v3 header; leaves `r` positioned at the record count.
-Status parse_fuzzy_header(ByteReader& r, FuzzyMeta& meta) {
+/// The capture and floor epochs are the writer's bookkeeping: skipped.
+Status parse_fuzzy_header(ByteReader& r, bool& delta, ValidationTs& boundary) {
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   std::uint8_t kind = 0;
+  std::uint64_t epoch = 0;
   if (auto s = r.get_u64(magic); !s) return s;
   if (magic != kCheckpointMagic) {
     return Status::error(ErrorCode::kCorruption, "bad checkpoint magic");
@@ -47,11 +54,10 @@ Status parse_fuzzy_header(ByteReader& r, FuzzyMeta& meta) {
   if (kind > kKindDelta) {
     return Status::error(ErrorCode::kCorruption, "bad fuzzy checkpoint kind");
   }
-  meta.delta = kind == kKindDelta;
-  if (auto s = r.get_u64(meta.boundary); !s) return s;
-  if (auto s = r.get_u64(meta.capture_epoch); !s) return s;
-  if (auto s = r.get_u64(meta.floor_epoch); !s) return s;
-  return Status::ok();
+  delta = kind == kKindDelta;
+  if (auto s = r.get_u64(boundary); !s) return s;
+  if (auto s = r.get_u64(epoch); !s) return s;
+  return r.get_u64(epoch);
 }
 
 Status apply_records(ByteReader& r, std::uint32_t count, ObjectStore& store) {
@@ -109,6 +115,27 @@ void put_fuzzy_header(ByteWriter& out, std::uint8_t kind,
   out.put_u64(floor_epoch);
 }
 
+void put_record(ByteWriter& out, ObjectId id, const Value& value,
+                ValidationTs wts, bool deleted) {
+  out.put_u64(id);
+  out.put_u64(wts);
+  out.put_u8(deleted ? kFlagTombstone : 0);
+  out.put_bytes(value.view());
+}
+
+void put_index_op(ByteWriter& out, IndexOp::Kind kind, const IndexKey& key,
+                  ObjectId oid) {
+  out.put_u8(static_cast<std::uint8_t>(kind));
+  out.put_raw(std::as_bytes(std::span{key.bytes}));
+  out.put_varint(oid);
+}
+
+void put_chain_header(ByteWriter& out, std::uint32_t parts) {
+  out.put_u64(kChainMagic);
+  out.put_u32(kChainVersion);
+  out.put_u32(parts);
+}
+
 }  // namespace
 
 FuzzyEncodeStats encode_fuzzy_base(ObjectStore& store, const BPlusTree& index,
@@ -118,34 +145,25 @@ FuzzyEncodeStats encode_fuzzy_base(ObjectStore& store, const BPlusTree& index,
   put_fuzzy_header(out, kKindBase, boundary, store.snapshot_epoch(), 0);
   const std::size_t record_count_at = out.size();
   out.put_u32(0);
-  std::uint32_t records = 0;
   stats.scan = store.snapshot_scan(
       0, [&](ObjectId id, const Value& value, ValidationTs wts, bool deleted) {
         if (deleted) return;  // bases compact tombstones away
-        out.put_u64(id);
-        out.put_u64(wts);
-        out.put_u8(0);
-        out.put_bytes(value.view());
-        ++records;
+        put_record(out, id, value, wts, false);
+        ++stats.records;
       });
-  out.patch_u32(record_count_at, records);
+  out.patch_u32(record_count_at, static_cast<std::uint32_t>(stats.records));
 
   // Full index dump as upsert ops: entries inserted or erased mid-scan are
   // reconciled by the change journal (next delta) and log replay past the
   // boundary — both idempotent.
   const std::size_t op_count_at = out.size();
   out.put_u32(0);
-  std::uint32_t ops = 0;
   index.chunked_scan(kIndexScanChunk, [&](const IndexKey& key, ObjectId oid) {
-    out.put_u8(static_cast<std::uint8_t>(IndexOp::Kind::kUpsert));
-    out.put_raw(std::as_bytes(std::span{key.bytes}));
-    out.put_varint(oid);
-    ++ops;
+    put_index_op(out, IndexOp::Kind::kUpsert, key, oid);
+    ++stats.index_ops;
   });
-  out.patch_u32(op_count_at, ops);
+  out.patch_u32(op_count_at, static_cast<std::uint32_t>(stats.index_ops));
   out.put_u32(crc32c(out.view().subspan(body_start)));
-  stats.records = records;
-  stats.index_ops = ops;
   stats.bytes = out.size() - body_start;
   return stats;
 }
@@ -161,55 +179,45 @@ FuzzyEncodeStats encode_fuzzy_delta(ObjectStore& store,
                    floor_epoch);
   const std::size_t record_count_at = out.size();
   out.put_u32(0);
-  std::uint32_t records = 0;
   stats.scan = store.snapshot_scan(
       floor_epoch,
       [&](ObjectId id, const Value& value, ValidationTs wts, bool deleted) {
-        out.put_u64(id);
-        out.put_u64(wts);
-        out.put_u8(deleted ? kFlagTombstone : 0);
-        out.put_bytes(value.view());
-        ++records;
+        put_record(out, id, value, wts, deleted);
+        ++stats.records;
       });
-  out.patch_u32(record_count_at, records);
+  out.patch_u32(record_count_at, static_cast<std::uint32_t>(stats.records));
 
   out.put_u32(static_cast<std::uint32_t>(index_ops.size()));
   for (const IndexOp& op : index_ops) {
-    out.put_u8(static_cast<std::uint8_t>(op.kind));
-    out.put_raw(std::as_bytes(std::span{op.key.bytes}));
-    out.put_varint(op.oid);
+    put_index_op(out, op.kind, op.key, op.oid);
   }
   out.put_u32(crc32c(out.view().subspan(body_start)));
-  stats.records = records;
   stats.index_ops = index_ops.size();
   stats.bytes = out.size() - body_start;
   return stats;
 }
 
-Result<FuzzyMeta> peek_fuzzy(std::span<const std::byte> data) {
-  auto body = checked_body(data);
-  if (!body.is_ok()) return body.status();
-  ByteReader r(body.value());
-  FuzzyMeta meta;
-  if (auto s = parse_fuzzy_header(r, meta); !s) return s;
-  std::uint32_t record_count = 0;
-  if (auto s = r.get_u32(record_count); !s) return s;
-  meta.record_count = record_count;
-  for (std::uint32_t i = 0; i < record_count; ++i) {
-    std::uint64_t skip_u64 = 0;
-    std::uint8_t skip_u8 = 0;
-    std::uint64_t len = 0;
-    std::span<const std::byte> raw;
-    if (auto s = r.get_u64(skip_u64); !s) return s;
-    if (auto s = r.get_u64(skip_u64); !s) return s;
-    if (auto s = r.get_u8(skip_u8); !s) return s;
-    if (auto s = r.get_varint(len); !s) return s;
-    if (auto s = r.get_raw(static_cast<std::size_t>(len), raw); !s) return s;
+void encode_live_chain(const ObjectStore& store, const BPlusTree* index,
+                       ValidationTs boundary, ByteWriter& out) {
+  put_chain_header(out, 1);
+  const std::size_t length_at = out.size();
+  out.put_u64(0);
+  const std::size_t body_start = out.size();
+  put_fuzzy_header(out, kKindBase, boundary, store.mutation_epoch(), 0);
+  out.put_u32(static_cast<std::uint32_t>(store.live_size()));
+  store.for_each([&](ObjectId id, const ObjectRecord& rec) {
+    if (!rec.deleted) put_record(out, id, rec.value, rec.wts, false);
+  });
+  out.put_u32(static_cast<std::uint32_t>(index ? index->size() : 0));
+  if (index) {
+    index->range_scan(IndexKey::min(), IndexKey::max(),
+                      [&](const IndexKey& key, ObjectId oid) {
+                        put_index_op(out, IndexOp::Kind::kUpsert, key, oid);
+                        return true;
+                      });
   }
-  std::uint32_t op_count = 0;
-  if (auto s = r.get_u32(op_count); !s) return s;
-  meta.index_op_count = op_count;
-  return meta;
+  out.put_u32(crc32c(out.view().subspan(body_start)));
+  out.patch_u64(length_at, out.size() - body_start);
 }
 
 namespace {
@@ -220,9 +228,10 @@ Result<CheckpointMeta> decode_fuzzy_body(std::span<const std::byte> data,
   auto body = checked_body(data);
   if (!body.is_ok()) return body.status();
   ByteReader r(body.value());
-  FuzzyMeta meta;
-  if (auto s = parse_fuzzy_header(r, meta); !s) return s;
-  if (meta.delta != expect_delta) {
+  ValidationTs boundary = 0;
+  bool delta = false;
+  if (auto s = parse_fuzzy_header(r, delta, boundary); !s) return s;
+  if (delta != expect_delta) {
     return Status::error(ErrorCode::kCorruption,
                          expect_delta ? "expected delta, found base"
                                       : "expected base, found delta");
@@ -241,23 +250,22 @@ Result<CheckpointMeta> decode_fuzzy_body(std::span<const std::byte> data,
     return Status::error(ErrorCode::kCorruption, "trailing checkpoint bytes");
   }
   CheckpointMeta out;
-  out.last_applied = meta.boundary;
+  out.last_applied = boundary;
   out.object_count = record_count;
   return out;
 }
 
-/// A chain's first part may be a v3 base or (defensively) a legacy full
-/// checkpoint; dispatch on the version field.
-Result<CheckpointMeta> decode_part_base(std::span<const std::byte> part,
-                                        ObjectStore& store, BPlusTree* index) {
-  ByteReader r(part);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  if (r.get_u64(magic) && r.get_u32(version) && magic == kCheckpointMagic &&
-      version == kFuzzyVersion) {
-    return decode_fuzzy_body(part, store, index, /*expect_delta=*/false);
+/// Read an artifact the manifest names. Missing is corruption, not "no
+/// checkpoint": the manifest vouches for the file, and the log may already
+/// be truncated below the boundary it covers.
+Result<std::vector<std::byte>> read_artifact(const std::string& manifest_path,
+                                             const ManifestEntry& e) {
+  auto buf = read_file_bytes(sibling_path(manifest_path, e.file));
+  if (buf.status().code() == ErrorCode::kNotFound) {
+    return Status::error(ErrorCode::kCorruption,
+                         "manifest names missing artifact " + e.file);
   }
-  return decode_checkpoint(part, store, index);
+  return buf;
 }
 
 }  // namespace
@@ -276,75 +284,70 @@ Result<CheckpointMeta> apply_fuzzy_delta(std::span<const std::byte> data,
 
 void encode_chain(std::span<const std::vector<std::byte>> parts,
                   ByteWriter& out) {
-  out.put_u64(kChainMagic);
-  out.put_u32(kChainVersion);
-  out.put_u32(static_cast<std::uint32_t>(parts.size()));
+  put_chain_header(out, static_cast<std::uint32_t>(parts.size()));
   for (const auto& part : parts) {
     out.put_u64(part.size());
     out.put_raw(part);
   }
 }
 
-Result<CheckpointMeta> decode_checkpoint_any(std::span<const std::byte> data,
-                                             ObjectStore& store,
-                                             BPlusTree* index) {
-  ByteReader probe(data);
+Result<CheckpointMeta> decode_chain(std::span<const std::byte> data,
+                                    ObjectStore& store, BPlusTree* index) {
+  ByteReader r(data);
   std::uint64_t magic = 0;
-  if (data.size() >= 8) (void)probe.get_u64(magic);
-
-  if (magic == kChainMagic) {
-    std::uint32_t version = 0;
-    std::uint32_t count = 0;
-    if (auto s = probe.get_u32(version); !s) return s;
-    if (version != kChainVersion) {
-      return Status::error(ErrorCode::kCorruption, "unsupported chain version");
-    }
-    if (auto s = probe.get_u32(count); !s) return s;
-    if (count == 0) {
-      return Status::error(ErrorCode::kCorruption, "empty checkpoint chain");
-    }
-    CheckpointMeta meta;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t len = 0;
-      std::span<const std::byte> part;
-      if (auto s = probe.get_u64(len); !s) return s;
-      if (auto s = probe.get_raw(static_cast<std::size_t>(len), part); !s) {
-        return s;
-      }
-      auto m = i == 0 ? decode_part_base(part, store, index)
-                      : apply_fuzzy_delta(part, store, index);
-      if (!m.is_ok()) return m.status();
-      meta.last_applied = m.value().last_applied;
-    }
-    if (!probe.at_end()) {
-      return Status::error(ErrorCode::kCorruption, "trailing chain bytes");
-    }
-    meta.object_count = store.live_size();
-    return meta;
+  std::uint32_t version = 0;
+  std::uint32_t count = 0;
+  if (auto s = r.get_u64(magic); !s) return s;
+  if (magic != kChainMagic) {
+    return Status::error(ErrorCode::kCorruption, "not a checkpoint chain");
   }
-
-  if (magic == kCheckpointMagic) {
-    std::uint32_t version = 0;
-    if (probe.get_u32(version) && version == kFuzzyVersion) {
-      return decode_fuzzy_base(data, store, index);
-    }
+  if (auto s = r.get_u32(version); !s) return s;
+  if (version != kChainVersion) {
+    return Status::error(ErrorCode::kCorruption, "unsupported chain version");
   }
-  return decode_checkpoint(data, store, index);
+  if (auto s = r.get_u32(count); !s) return s;
+  if (count == 0) {
+    return Status::error(ErrorCode::kCorruption, "empty checkpoint chain");
+  }
+  CheckpointMeta meta;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint64_t len = 0;
+    std::span<const std::byte> part;
+    if (auto s = r.get_u64(len); !s) return s;
+    if (auto s = r.get_raw(static_cast<std::size_t>(len), part); !s) return s;
+    auto m = i == 0 ? decode_fuzzy_base(part, store, index)
+                    : apply_fuzzy_delta(part, store, index);
+    if (!m.is_ok()) return m.status();
+    meta.last_applied = m.value().last_applied;
+  }
+  if (!r.at_end()) {
+    return Status::error(ErrorCode::kCorruption, "trailing chain bytes");
+  }
+  meta.object_count = store.live_size();
+  return meta;
 }
 
-namespace {
-
-Result<CheckpointMeta> load_chain(const std::string& manifest_path,
-                                  const CkptManifest& m, ObjectStore& store,
-                                  BPlusTree* index) {
+Result<CheckpointMeta> load_checkpoint_artifacts(
+    const std::string& checkpoint_path, ObjectStore& store, BPlusTree* index) {
+  if (std::filesystem::exists(checkpoint_path)) {
+    return Status::error(
+        ErrorCode::kFailedPrecondition,
+        "retired single-file checkpoint at " + checkpoint_path +
+            ": the log may be truncated below its boundary, so recovery "
+            "will not run without it");
+  }
+  const std::string manifest_path = manifest_path_for(checkpoint_path);
+  auto manifest = read_manifest_file(manifest_path);
+  if (!manifest.is_ok()) return manifest.status();
+  const CkptManifest& m = manifest.value();
   if (m.entries.empty()) {
     return Status::error(ErrorCode::kCorruption, "empty checkpoint chain");
   }
   CheckpointMeta meta;
   for (std::size_t i = 0; i < m.entries.size(); ++i) {
-    auto buf = read_file_bytes(sibling_path(manifest_path, m.entries[i].file));
+    auto buf = read_artifact(manifest_path, m.entries[i]);
     if (!buf.is_ok()) return buf.status();
-    auto r = i == 0 ? decode_part_base(buf.value(), store, index)
+    auto r = i == 0 ? decode_fuzzy_base(buf.value(), store, index)
                     : apply_fuzzy_delta(buf.value(), store, index);
     if (!r.is_ok()) return r.status();
     meta.last_applied = r.value().last_applied;
@@ -353,94 +356,157 @@ Result<CheckpointMeta> load_chain(const std::string& manifest_path,
   return meta;
 }
 
-}  // namespace
-
-Result<CheckpointMeta> load_checkpoint_artifacts(
-    const std::string& checkpoint_path, ObjectStore& store, BPlusTree* index) {
-  const std::string manifest_path = manifest_path_for(checkpoint_path);
-  auto manifest = read_manifest_file(manifest_path);
-  auto legacy = read_file_bytes(checkpoint_path);
-
-  std::uint64_t legacy_boundary = 0;
-  bool legacy_ok = false;
-  if (legacy.is_ok()) {
-    if (auto pm = peek_checkpoint(legacy.value()); pm.is_ok()) {
-      legacy_ok = true;
-      legacy_boundary = pm.value().last_applied;
-    }
-  }
-
-  // Both sources can exist (a mirror-era legacy file next to a stale fuzzy
-  // manifest, or vice versa); the freshest — highest covered boundary — wins,
-  // and a corrupt winner falls back to the other.
-  const bool chain_first =
-      manifest.is_ok() &&
-      (!legacy_ok || manifest.value().covered_boundary() >= legacy_boundary);
-
-  Status last_err = Status::ok();
-  bool tried = false;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const bool use_chain = attempt == 0 ? chain_first : !chain_first;
-    if (use_chain) {
-      if (!manifest.is_ok()) continue;
-      tried = true;
-      auto r = load_chain(manifest_path, manifest.value(), store, index);
-      if (r.is_ok()) return r;
-      last_err = r.status();
-    } else {
-      if (!legacy.is_ok()) continue;
-      tried = true;
-      auto r = decode_checkpoint_any(legacy.value(), store, index);
-      if (r.is_ok()) return r;
-      last_err = r.status();
-    }
-  }
-  if (tried) return last_err;
-  if (manifest.status().code() == ErrorCode::kCorruption) {
-    return manifest.status();
-  }
-  // Neither source exists (or both were unreadable as files).
-  return legacy.is_ok() ? manifest.status() : legacy.status();
-}
-
 Result<CheckpointBytes> read_artifact_chain_bytes(
     const std::string& checkpoint_path) {
   const std::string manifest_path = manifest_path_for(checkpoint_path);
   auto manifest = read_manifest_file(manifest_path);
-  auto legacy = read_checkpoint_bytes(checkpoint_path);
-
-  const std::uint64_t legacy_boundary =
-      legacy.is_ok() ? legacy.value().meta.last_applied : 0;
-  const bool chain_first =
-      manifest.is_ok() &&
-      (!legacy.is_ok() || manifest.value().covered_boundary() >= legacy_boundary);
-
-  if (chain_first) {
-    const CkptManifest& m = manifest.value();
-    std::vector<std::vector<std::byte>> parts;
-    parts.reserve(m.entries.size());
-    CheckpointBytes out;
-    bool complete = !m.entries.empty();
-    for (const ManifestEntry& e : m.entries) {
-      auto buf = read_file_bytes(sibling_path(manifest_path, e.file));
-      if (!buf.is_ok()) {
-        complete = false;
-        break;
-      }
-      if (auto pm = peek_fuzzy(buf.value()); pm.is_ok()) {
-        out.meta.object_count += pm.value().record_count;
-      }
-      parts.push_back(std::move(buf).value());
-    }
-    if (complete) {
-      ByteWriter w;
-      encode_chain(parts, w);
-      out.bytes = w.take();
-      out.meta.last_applied = m.covered_boundary();
-      return out;
-    }
+  if (!manifest.is_ok()) return manifest.status();
+  const CkptManifest& m = manifest.value();
+  if (m.entries.empty()) {
+    return Status::error(ErrorCode::kCorruption, "empty checkpoint chain");
   }
-  return legacy;
+  std::vector<std::vector<std::byte>> parts;
+  parts.reserve(m.entries.size());
+  for (const ManifestEntry& e : m.entries) {
+    auto buf = read_artifact(manifest_path, e);
+    if (!buf.is_ok()) return buf.status();
+    parts.push_back(std::move(buf).value());
+  }
+  ByteWriter w;
+  encode_chain(parts, w);
+  return CheckpointBytes{w.take(), m.covered_boundary()};
+}
+
+// ----------------------------------------------------- chain writer ---
+
+namespace {
+struct ChainMetrics {
+  obs::Counter& bytes_full = obs::metrics().counter("ckpt.bytes_full");
+  obs::Counter& bytes_delta = obs::metrics().counter("ckpt.bytes_delta");
+  obs::Gauge& dirty_ratio = obs::metrics().gauge("ckpt.dirty_ratio");
+};
+ChainMetrics& cm() {
+  static ChainMetrics m;
+  return m;
+}
+}  // namespace
+
+CheckpointChain::CheckpointChain(std::string checkpoint_path,
+                                 std::size_t delta_limit)
+    : path_(std::move(checkpoint_path)), delta_limit_(delta_limit) {
+  // A previous process's chain: never extended, pruned by the first write.
+  // Unreadable, it names nothing this writer can prune.
+  if (path_.empty()) return;
+  if (auto m = read_manifest_file(manifest_path_for(path_)); m.is_ok()) {
+    chain_ = std::move(m).value();
+  }
+}
+
+Status CheckpointChain::write(ObjectStore& store, BPlusTree& index,
+                              ValidationTs boundary) {
+  Flip f = flip(store, index, boundary);
+  Status s = encode(f, store, index);
+  return finish(f, store, index, std::move(s));
+}
+
+CheckpointChain::Flip CheckpointChain::flip(ObjectStore& store,
+                                            BPlusTree& index,
+                                            ValidationTs boundary) {
+  Flip f;
+  // A base when there is no chain of this store to extend, when the chain
+  // is long enough that replaying deltas would dominate recovery, or when
+  // the index journal is off: never started, or reset with the index by a
+  // snapshot install or a failed base.
+  f.base = !extends_ || deltas_ >= delta_limit_ || !index.journal_enabled();
+  f.boundary = boundary;
+  f.floor_epoch = f.base ? 0 : floor_epoch_;
+  f.capture_epoch = store.snapshot_begin();
+  if (f.base) {
+    index.set_journal(true);
+  } else {
+    f.journal = index.cut_journal();
+  }
+  return f;
+}
+
+Status CheckpointChain::encode(Flip& f, ObjectStore& store,
+                               const BPlusTree& index) {
+  ByteWriter w(store.size() * 80 + 64);
+  f.stats = f.base ? encode_fuzzy_base(store, index, f.boundary, w)
+                   : encode_fuzzy_delta(store, f.journal, f.boundary,
+                                        f.floor_epoch, w);
+  // chain_ is read here without exclusion: only finish() changes it, and
+  // the caller runs one write at a time.
+  if (!f.base) f.next = chain_;
+  f.next.entries.push_back(
+      {f.base ? ManifestEntry::Kind::kBase : ManifestEntry::Kind::kDelta,
+       f.boundary, f.capture_epoch, f.stats.bytes,
+       fresh_name(f.base, f.capture_epoch)});
+  const std::string artifact = sibling_path(path_, f.next.entries.back().file);
+  Status s = write_file_atomic(artifact, w.view());
+  if (!s) return s;
+  s = write_manifest_file(f.next, manifest_path_for(path_));
+  if (!s) std::remove(artifact.c_str());  // unreferenced artifact: delete it
+  return s;
+}
+
+Status CheckpointChain::finish(Flip& f, ObjectStore& store, BPlusTree& index,
+                               Status encoded) {
+  store.snapshot_end();
+  if (!encoded) {
+    if (f.base) {
+      // The journal started at this flip covers only ops since a base that
+      // never landed; a later delta must not chain onto it.
+      index.set_journal(false);
+    } else {
+      index.restore_journal(std::move(f.journal));  // the next delta re-covers
+    }
+    return encoded;
+  }
+  // Prune what the new manifest no longer names: the whole replaced chain
+  // after a base, nothing after a delta.
+  for (const ManifestEntry& old : chain_.entries) {
+    const bool kept = std::any_of(
+        f.next.entries.begin(), f.next.entries.end(),
+        [&](const ManifestEntry& e) { return e.file == old.file; });
+    if (!kept) std::remove(sibling_path(path_, old.file).c_str());
+  }
+  chain_ = std::move(f.next);
+  extends_ = true;
+  deltas_ = f.base ? 0 : deltas_ + 1;
+  floor_epoch_ = f.capture_epoch;
+  if (f.base) {
+    cm().bytes_full.inc(f.stats.bytes);
+    cm().dirty_ratio.set(1.0);
+  } else {
+    cm().bytes_delta.inc(f.stats.bytes);
+    const std::size_t live = store.size();
+    cm().dirty_ratio.set(live == 0 ? 0.0
+                                   : static_cast<double>(f.stats.records) /
+                                         static_cast<double>(live));
+  }
+  RODAIN_INFO("checkpoint %s: %s at boundary %llu (epoch %llu, %llu records, "
+              "%llu bytes)",
+              chain_.entries.back().file.c_str(), f.base ? "base" : "delta",
+              static_cast<unsigned long long>(f.boundary),
+              static_cast<unsigned long long>(f.capture_epoch),
+              static_cast<unsigned long long>(f.stats.records),
+              static_cast<unsigned long long>(f.stats.bytes));
+  return encoded;
+}
+
+std::string CheckpointChain::fresh_name(bool base, std::uint64_t n) const {
+  // Capture epochs restart with every process, so an epoch can repeat a
+  // name the current manifest lists. Renaming over it would chain the
+  // listed deltas onto the new base if a crash hit before the new manifest.
+  const std::string stem =
+      std::filesystem::path(path_).filename().string() + (base ? ".b" : ".d");
+  const auto listed = [&](const std::string& name) {
+    return std::any_of(chain_.entries.begin(), chain_.entries.end(),
+                       [&](const ManifestEntry& e) { return e.file == name; });
+  };
+  while (listed(stem + std::to_string(n))) ++n;
+  return stem + std::to_string(n);
 }
 
 }  // namespace rodain::storage

@@ -1,6 +1,6 @@
-// Fuzzy checkpoint artifacts (DESIGN.md §15).
+// Checkpoint artifacts and the one chain writer (DESIGN.md §15).
 //
-// A fuzzy checkpoint is written while committers keep running: the store's
+// A checkpoint is written while committers keep running: the store's
 // snapshot mode (ObjectStore::snapshot_begin/snapshot_scan) supplies a
 // point-in-time view at the flipped boundary, and per-record dirty epochs
 // let the encoder alternate full *base* files with incremental *delta*
@@ -39,15 +39,6 @@ inline constexpr std::uint32_t kFuzzyVersion = 3;
 /// Container frame carrying a whole base+delta chain (join shipping).
 inline constexpr std::uint64_t kChainMagic = 0x314e4843444f52ULL;  // "RODCHN1"
 
-struct FuzzyMeta {
-  bool delta{false};
-  ValidationTs boundary{0};
-  std::uint64_t capture_epoch{0};
-  std::uint64_t floor_epoch{0};
-  std::uint64_t record_count{0};
-  std::uint64_t index_op_count{0};
-};
-
 struct FuzzyEncodeStats {
   std::uint64_t records{0};
   std::uint64_t index_ops{0};
@@ -70,8 +61,12 @@ FuzzyEncodeStats encode_fuzzy_delta(ObjectStore& store,
                                     ValidationTs boundary,
                                     std::uint64_t floor_epoch, ByteWriter& out);
 
-/// CRC + header check, metadata only (no store rebuild).
-Result<FuzzyMeta> peek_fuzzy(std::span<const std::byte> data);
+/// A one-base chain container, encoded from a plain store walk and index
+/// range scan straight into `out` (the live join). The caller excludes
+/// writers; no snapshot is taken, so this may run while a cadenced
+/// checkpoint's encode holds the store's one snapshot.
+void encode_live_chain(const ObjectStore& store, const BPlusTree* index,
+                       ValidationTs boundary, ByteWriter& out);
 
 /// Decode a v3 base into `store` (cleared first) and `index` (reset).
 Result<CheckpointMeta> decode_fuzzy_base(std::span<const std::byte> data,
@@ -85,24 +80,82 @@ Result<CheckpointMeta> apply_fuzzy_delta(std::span<const std::byte> data,
 void encode_chain(std::span<const std::vector<std::byte>> parts,
                   ByteWriter& out);
 
-/// Decode any checkpoint payload a peer or the disk may hand us: a chain
-/// container, a bare v3 base, or a legacy v1/v2 full checkpoint.
-Result<CheckpointMeta> decode_checkpoint_any(std::span<const std::byte> data,
-                                             ObjectStore& store,
-                                             BPlusTree* index = nullptr);
+/// Decode a chain container (a join snapshot) into `store` and `index`.
+Result<CheckpointMeta> decode_chain(std::span<const std::byte> data,
+                                    ObjectStore& store,
+                                    BPlusTree* index = nullptr);
 
-/// Load the freshest complete artifact set under `checkpoint_path`: the
-/// manifest chain and the legacy single file are both considered and the
-/// higher covered boundary wins (a corrupt winner falls back to the other).
-/// kNotFound when neither exists.
+/// Load the chain named by `<checkpoint_path>.manifest`. kNotFound when
+/// there is no manifest; kCorruption when the manifest or an artifact it
+/// names is damaged or missing; kFailedPrecondition when a file exists at
+/// `checkpoint_path` itself — a leftover of the retired single-file format
+/// whose boundary the log may already be truncated below, so neither
+/// skipping it nor replaying the log alone is safe.
 Result<CheckpointMeta> load_checkpoint_artifacts(
     const std::string& checkpoint_path, ObjectStore& store,
     BPlusTree* index = nullptr);
 
-/// Same freshest-artifact-set selection, but returning the raw bytes (chain
-/// container or legacy blob) plus peeked metadata, for serving a join from
-/// the on-disk artifacts without decoding them.
+/// The manifest chain as one container blob, plus its covered boundary,
+/// for serving a join from the disk artifacts.
+struct CheckpointBytes {
+  std::vector<std::byte> bytes;
+  ValidationTs boundary{0};
+};
 Result<CheckpointBytes> read_artifact_chain_bytes(
     const std::string& checkpoint_path);
+
+/// The one checkpoint writer: keeps the chain of `<path>.manifest` for one
+/// store and index. Each write is a base or a delta; the artifact lands
+/// under a name the current manifest does not list, then the manifest is
+/// replaced, then the artifacts it no longer names are pruned. A writer
+/// never extends a chain it did not start (capture epochs restart with
+/// every process), so its first write is a base, and that write prunes
+/// every artifact the replaced manifest named.
+///
+/// write() needs writer exclusion throughout. A primary splits it so its
+/// committers run during the encode: flip() and finish() under exclusion,
+/// encode() without it. The store's one snapshot is the writer's from
+/// flip() to finish().
+class CheckpointChain {
+ public:
+  explicit CheckpointChain(std::string checkpoint_path,
+                           std::size_t delta_limit = 4);
+
+  /// One write in progress, from flip() through finish().
+  struct Flip {
+    bool base{false};
+    ValidationTs boundary{0};
+    std::uint64_t capture_epoch{0};
+    std::uint64_t floor_epoch{0};
+    std::vector<IndexOp> journal;  ///< a delta's index ops, cut at the flip
+    CkptManifest next;             ///< the manifest naming the new artifact
+    FuzzyEncodeStats stats;
+  };
+
+  Status write(ObjectStore& store, BPlusTree& index, ValidationTs boundary);
+
+  /// Choose base or delta and flip the store's snapshot (O(1)).
+  Flip flip(ObjectStore& store, BPlusTree& index, ValidationTs boundary);
+  /// Encode the artifact, write it, then write the manifest naming it.
+  /// Runs one at a time: the caller serializes writes.
+  Status encode(Flip& f, ObjectStore& store, const BPlusTree& index);
+  /// End the snapshot; on success adopt the new manifest and prune, on
+  /// failure roll the index journal back. Returns `encoded`.
+  Status finish(Flip& f, ObjectStore& store, BPlusTree& index,
+                Status encoded);
+
+  /// The manifest this writer last wrote (or found at construction).
+  [[nodiscard]] const CkptManifest& manifest() const { return chain_; }
+
+ private:
+  [[nodiscard]] std::string fresh_name(bool base, std::uint64_t n) const;
+
+  std::string path_;
+  std::size_t delta_limit_;
+  bool extends_{false};           ///< chain_ ends in an artifact of ours
+  std::size_t deltas_{0};         ///< deltas since the chain's base
+  std::uint64_t floor_epoch_{0};  ///< capture epoch of chain_'s last entry
+  CkptManifest chain_;            ///< what the manifest on disk names
+};
 
 }  // namespace rodain::storage

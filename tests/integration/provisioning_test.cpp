@@ -2,11 +2,14 @@
 // maintenance, propagated through the redo stream to the mirror and through
 // checkpoints + logs to recovery.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "rodain/exp/session.hpp"
 #include "rodain/log/recovery.hpp"
 #include "rodain/simdb/sim_cluster.hpp"
-#include "rodain/storage/checkpoint.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 #include "rodain/workload/calibration.hpp"
 
 namespace rodain {
@@ -39,8 +42,12 @@ struct EngineRig {
     engine.begin(*txns.back());
     while (true) {
       auto r = engine.step(*txns.back());
-      if (r.action == engine::StepAction::kCommitted) return TxnOutcome::kCommitted;
-      if (r.action == engine::StepAction::kAborted) return txns.back()->outcome();
+      if (r.action == engine::StepAction::kCommitted) {
+        return TxnOutcome::kCommitted;
+      }
+      if (r.action == engine::StepAction::kAborted) {
+        return txns.back()->outcome();
+      }
     }
   }
 };
@@ -132,17 +139,43 @@ TEST(Provisioning, CheckpointCarriesIndexAndSkipsTombstones) {
   b.erase(1, num("0800000001"));
   ASSERT_EQ(rig.run(std::move(b)), TxnOutcome::kCommitted);
 
+  // Both encoders: the live chain a join ships, and the chain the writer
+  // persists (through a corrupt write first, which recovery must reject).
   ByteWriter w;
-  storage::encode_checkpoint(rig.store, 2, w, &rig.index);
-  storage::ObjectStore restored(16);
-  storage::BPlusTree restored_index;
-  auto meta = storage::decode_checkpoint(w.view(), restored, &restored_index);
-  ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
-  EXPECT_EQ(meta.value().object_count, 1u);  // the tombstone was compacted
-  EXPECT_EQ(restored.find(1), nullptr);
-  EXPECT_TRUE(restored.find(2)->live());
-  EXPECT_EQ(restored_index.size(), 1u);
-  EXPECT_EQ(restored_index.find(num("0800000002")), 2u);
+  storage::encode_live_chain(rig.store, &rig.index, 2, w);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("rodain_prov_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "db.ckpt").string();
+  storage::CheckpointChain chain(path);
+  ASSERT_TRUE(chain.write(rig.store, rig.index, 2));
+  const std::string base =
+      storage::sibling_path(path, chain.manifest().entries.at(0).file);
+  std::filesystem::resize_file(base, std::filesystem::file_size(base) - 1);
+  storage::ObjectStore torn(16);
+  auto torn_meta = storage::load_checkpoint_artifacts(path, torn);
+  ASSERT_FALSE(torn_meta.is_ok());
+  EXPECT_EQ(torn_meta.status().code(), ErrorCode::kCorruption);
+  // A restarted writer replaces the torn chain with a fresh base.
+  ASSERT_TRUE(storage::CheckpointChain(path).write(rig.store, rig.index, 2));
+
+  for (int from_disk = 0; from_disk < 2; ++from_disk) {
+    storage::ObjectStore restored(16);
+    storage::BPlusTree restored_index;
+    auto meta =
+        from_disk ? storage::load_checkpoint_artifacts(path, restored,
+                                                       &restored_index)
+                  : storage::decode_chain(w.view(), restored, &restored_index);
+    ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
+    EXPECT_EQ(meta.value().object_count, 1u);  // the tombstone was compacted
+    EXPECT_EQ(meta.value().last_applied, 2u);
+    EXPECT_EQ(restored.find(1), nullptr);
+    EXPECT_TRUE(restored.find(2)->live());
+    EXPECT_EQ(restored_index.size(), 1u);
+    EXPECT_EQ(restored_index.find(num("0800000002")), 2u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Provisioning, MirrorMaintainsIndexAndCopy) {

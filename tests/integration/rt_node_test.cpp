@@ -17,6 +17,7 @@
 #include "rodain/net/tcp.hpp"
 #include "rodain/obs/obs.hpp"
 #include "rodain/rt/node.hpp"
+#include "rodain/storage/ckpt_manifest.hpp"
 #include "rodain/workload/number_translation.hpp"
 
 namespace rodain {
@@ -25,7 +26,9 @@ namespace {
 using namespace rodain::literals;
 
 storage::Value val(std::string_view s) { return storage::Value{s}; }
-storage::Value zeros8() { return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}}; }
+storage::Value zeros8() {
+  return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}};
+}
 
 /// A temp path unique to this process and test case: ctest -j runs each
 /// case in its own process, and a shared name would race.
@@ -122,16 +125,20 @@ struct TcpPair {
     TcpPair p;
     std::mutex mu;
     std::condition_variable cv;
-    auto server = net::TcpServer::listen(0, [&](std::unique_ptr<net::TcpChannel> ch) {
-      std::lock_guard lock(mu);
-      p.server_end = std::move(ch);
-      cv.notify_all();
-    });
+    auto server =
+        net::TcpServer::listen(0, [&](std::unique_ptr<net::TcpChannel> ch) {
+          std::lock_guard lock(mu);
+          p.server_end = std::move(ch);
+          cv.notify_all();
+        });
     p.server = std::move(server).value();
     p.client_end =
-        std::move(net::TcpChannel::connect("127.0.0.1", p.server->port(), 2_s)).value();
+        std::move(
+            net::TcpChannel::connect("127.0.0.1", p.server->port(), 2_s))
+            .value();
     std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(2), [&] { return p.server_end != nullptr; });
+    cv.wait_for(lock, std::chrono::seconds(2),
+                [&] { return p.server_end != nullptr; });
     return p;
   }
 };
@@ -162,7 +169,8 @@ TEST(RtNode, TwoNodeLogShippingOverTcp) {
   EXPECT_EQ(primary.counters().committed, 50u);
 
   // The mirror applied everything the primary committed.
-  for (int waited = 0; waited < 100 && mirror.mirror_applied_seq() < 50; ++waited) {
+  for (int waited = 0; waited < 100 && mirror.mirror_applied_seq() < 50;
+       ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(mirror.mirror_applied_seq(), 50u);
@@ -239,7 +247,9 @@ TEST(RtNode, RejoinIsServedFromDiskArtifacts) {
   config.log_segment_bytes = 2048;
   config.checkpoint_path = (dir / "db.ckpt").string();
   rt::Node primary(config, "primary");
-  for (ObjectId oid = 1; oid <= 20; ++oid) primary.store().upsert(oid, zeros8(), 0);
+  for (ObjectId oid = 1; oid <= 20; ++oid) {
+    primary.store().upsert(oid, zeros8(), 0);
+  }
 
   primary.start_primary(LogMode::kDirectDisk, tcp.client_end.get());
   tcp.client_end->start();
@@ -301,6 +311,96 @@ txn::TxnProgram increment(ObjectId oid) {
   p.add_to_field(oid, 0, 1);
   p.relative_deadline = 10_s;
   return p;
+}
+
+TEST(RtNode, OneCheckpointChainAcrossRoles) {
+  // Every role writes the same chain: the mirror's cadence starts it while
+  // the mirror applies, the survivor's cadence extends it after the
+  // takeover, and a node restarted from the directory recovers the
+  // survivor's store.
+  const auto dir = unique_temp_path("rodain_chain_roles");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "primary");
+  std::filesystem::create_directories(dir / "mirror");
+  auto tcp = TcpPair::make();
+  rt::NodeConfig config;
+  config.watchdog_timeout = 300_ms;
+  config.heartbeat_interval = 50_ms;
+  config.checkpoint_interval = 20_ms;
+  config.checkpoint_delta_limit = 1000;
+  config.log_segment_bytes = 4096;
+  rt::NodeConfig pc = config;
+  pc.log_path = (dir / "primary" / "segments").string();
+  pc.checkpoint_path = (dir / "primary" / "db.ckpt").string();
+  rt::NodeConfig mc = config;
+  mc.log_path = (dir / "mirror" / "segments").string();
+  mc.checkpoint_path = (dir / "mirror" / "db.ckpt").string();
+  rt::Node primary(pc, "primary");
+  rt::Node mirror(mc, "mirror");
+  start_pair(tcp, primary, mirror, 50);
+
+  const auto chain = [&] {
+    auto m = storage::read_manifest_file(
+        storage::manifest_path_for(mc.checkpoint_path));
+    return m.is_ok() ? m.value() : storage::CkptManifest{};
+  };
+  int commits = 0;
+  const auto within = [](std::chrono::seconds limit) {
+    return [end = std::chrono::steady_clock::now() + limit] {
+      return std::chrono::steady_clock::now() < end;
+    };
+  };
+  const auto commit_some = [&](rt::Node& node) {
+    for (int i = 0; i < 10; ++i, ++commits) {
+      ASSERT_EQ(node.execute(increment(1 + commits % 50)).outcome,
+                TxnOutcome::kCommitted);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  for (auto go = within(std::chrono::seconds(5));
+       go() && chain().entries.size() < 2;) {
+    commit_some(primary);
+  }
+  const storage::CkptManifest mirror_chain = chain();
+  ASSERT_GE(mirror_chain.entries.size(), 2u) << "no base + delta on mirror";
+  EXPECT_EQ(mirror_chain.entries[0].kind, storage::ManifestEntry::Kind::kBase);
+
+  primary.stop();
+  tcp.client_end->close();
+  for (int waited = 0; waited < 300 && !mirror.serving(); ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(mirror.serving());
+  // The mirror's cadence may have run once more before the takeover; from
+  // here on only the survivor's can cover its own commits.
+  const storage::CkptManifest at_takeover = chain();
+  for (auto go = within(std::chrono::seconds(5));
+       go() && chain().covered_boundary() <= at_takeover.covered_boundary();) {
+    commit_some(mirror);
+  }
+  const storage::CkptManifest survivor_chain = chain();
+  ASSERT_GT(survivor_chain.covered_boundary(), at_takeover.covered_boundary())
+      << "the survivor never checkpointed";
+  EXPECT_GT(survivor_chain.entries.size(), at_takeover.entries.size());
+  EXPECT_EQ(survivor_chain.entries[0].file, mirror_chain.entries[0].file);
+  mirror.stop();
+
+  rt::Node restarted(mc, "restarted");
+  auto stats = restarted.recover_from_local_state();
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_EQ(restarted.store().live_size(), mirror.store().live_size());
+  mirror.store().for_each([&](ObjectId oid, const storage::ObjectRecord& r) {
+    const storage::ObjectRecord* got = restarted.store().find(oid);
+    ASSERT_NE(got, nullptr) << oid;
+    EXPECT_EQ(got->value, r.value) << oid;
+    EXPECT_EQ(got->wts, r.wts) << oid;
+  });
+  std::uint64_t total = 0;
+  restarted.store().for_each([&](ObjectId, const storage::ObjectRecord& r) {
+    total += r.value.read_u64(0);
+  });
+  EXPECT_EQ(total, static_cast<std::uint64_t>(commits));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RtNode, HeartbeatRateDoesNotFollowLoad) {
@@ -876,9 +976,11 @@ TEST(Database, EmbeddedQuickstartFlow) {
   db::DatabaseOptions options;
   db::Database database(options);
   ASSERT_TRUE(database.put_raw(1, val("alice")));
-  ASSERT_TRUE(database.index_raw(storage::IndexKey::from_string("user:alice"), 1));
+  ASSERT_TRUE(
+      database.index_raw(storage::IndexKey::from_string("user:alice"), 1));
 
-  auto fetched = database.get_by_key(storage::IndexKey::from_string("user:alice"));
+  auto fetched =
+      database.get_by_key(storage::IndexKey::from_string("user:alice"));
   ASSERT_TRUE(fetched.is_ok());
   EXPECT_EQ(fetched.value(), val("alice"));
 

@@ -5,11 +5,11 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "rodain/log/segment.hpp"
 #include "rodain/rt/node.hpp"
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/ckpt_manifest.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
@@ -310,6 +310,61 @@ TEST_F(RtRecoveryTest, SegmentedRestartRecoversEveryAckedTxn) {
     EXPECT_EQ(node.store().find(1)->value.read_u64(0), 41u);
     node.stop();
   }
+}
+
+TEST_F(RtRecoveryTest, RestartPrunesThePreviousChain) {
+  // Life 1 leaves a base and three deltas. Life 2 recovers from them, then
+  // writes its own first checkpoint: under a name life 1's manifest does
+  // not list, pruning every file that manifest named. Afterwards the
+  // directory holds exactly the new manifest and the files it names.
+  rt::NodeConfig c = config();
+  c.checkpoint_path = (dir_ / "ckpt" / "db.ckpt").string();
+  std::filesystem::create_directories(dir_ / "ckpt");
+  const std::string manifest = storage::manifest_path_for(c.checkpoint_path);
+  const auto commit = [](rt::Node& node) {
+    txn::TxnProgram p;
+    p.add_to_field(1, 0, 1);
+    p.relative_deadline = 5_s;
+    ASSERT_EQ(node.execute(std::move(p)).outcome, TxnOutcome::kCommitted);
+  };
+  {
+    rt::Node node(c, "gen1");
+    node.store().upsert(1, zeros8(), 0);
+    node.start_primary(LogMode::kDirectDisk);
+    for (int i = 0; i < 4; ++i) {
+      commit(node);
+      ASSERT_TRUE(node.write_checkpoint());
+    }
+    node.stop();
+  }
+  auto first = storage::read_manifest_file(manifest);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  ASSERT_EQ(first.value().entries.size(), 4u);
+  {
+    rt::Node node(c, "gen2");
+    auto stats = node.recover_from_local_state();
+    ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+    node.start_primary(LogMode::kDirectDisk);
+    commit(node);
+    ASSERT_TRUE(node.write_checkpoint());
+    EXPECT_EQ(node.store().find(1)->value.read_u64(0), 5u);
+    node.stop();
+  }
+  auto second = storage::read_manifest_file(manifest);
+  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+  std::set<std::string> want = {
+      std::filesystem::path(manifest).filename().string()};
+  for (const auto& e : second.value().entries) {
+    want.insert(e.file);
+    for (const auto& old : first.value().entries) {
+      EXPECT_NE(e.file, old.file) << "renamed over a listed artifact";
+    }
+  }
+  std::set<std::string> have;
+  for (const auto& f : std::filesystem::directory_iterator(dir_ / "ckpt")) {
+    have.insert(f.path().filename().string());
+  }
+  EXPECT_EQ(have, want);
 }
 
 TEST_F(RtRecoveryTest, RecoverAfterStartIsRejected) {

@@ -9,7 +9,7 @@
 #include "rodain/common/rng.hpp"
 #include "rodain/log/log_storage.hpp"
 #include "rodain/log/segment.hpp"
-#include "rodain/storage/checkpoint.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 namespace rodain::log {
 namespace {
@@ -200,6 +200,16 @@ class SegmentedRecoveryTest : public ::testing::Test {
     }
   }
 
+  /// Write `state` as a one-base chain at `boundary`; returns the base
+  /// file's path.
+  std::string checkpoint(storage::ObjectStore& state, ValidationTs boundary) {
+    storage::BPlusTree index;
+    storage::CheckpointChain chain(ckpt_path_);
+    EXPECT_TRUE(chain.write(state, index, boundary));
+    return storage::sibling_path(ckpt_path_,
+                                 chain.manifest().entries.at(0).file);
+  }
+
   void verify_state(const storage::ObjectStore& store,
                     const std::map<ObjectId, std::uint64_t>& expect) {
     for (const auto& [oid, v] : expect) {
@@ -225,7 +235,7 @@ TEST_F(SegmentedRecoveryTest, SkipsSegmentsTheCheckpointCovers) {
   for (ValidationTs seq = 1; seq <= 20; ++seq) {
     at_20.upsert(1 + (seq % 7), counter_val(seq), seq);
   }
-  ASSERT_TRUE(storage::write_checkpoint_file(at_20, 20, ckpt_path_));
+  checkpoint(at_20, 20);
 
   storage::ObjectStore recovered(16);
   auto stats = recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered);
@@ -245,7 +255,7 @@ TEST_F(SegmentedRecoveryTest, CommitExactlyAtBoundaryIsSkipped) {
   build_segments(10, expect, &state);
   // Boundary lands exactly on commit seq 10 — the newest commit must NOT
   // replay (r.seq <= already_applied), and last_seq still reports 10.
-  ASSERT_TRUE(storage::write_checkpoint_file(state, 10, ckpt_path_));
+  checkpoint(state, 10);
   storage::ObjectStore recovered(16);
   auto stats = recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered);
   ASSERT_TRUE(stats.is_ok());
@@ -261,7 +271,7 @@ TEST_F(SegmentedRecoveryTest, BoundaryPastTheLogClampsLastSeq) {
   // The checkpoint is AHEAD of the surviving log (truncation deleted
   // everything it covered plus the node crashed before logging more):
   // last_seq must be the checkpoint boundary, never the older log tail.
-  ASSERT_TRUE(storage::write_checkpoint_file(state, 50, ckpt_path_));
+  checkpoint(state, 50);
   storage::ObjectStore recovered(16);
   auto stats = recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered);
   ASSERT_TRUE(stats.is_ok());
@@ -297,11 +307,11 @@ TEST_F(SegmentedRecoveryTest, CorruptCheckpointFallsBackToLogOnlyReplay) {
   std::map<ObjectId, std::uint64_t> expect;
   storage::ObjectStore state(16);
   build_segments(15, expect, &state);
-  ASSERT_TRUE(storage::write_checkpoint_file(state, 15, ckpt_path_));
+  const std::string base = checkpoint(state, 15);
   // Flip a payload byte: the checkpoint CRC fails, but the full log still
   // exists, so recovery restarts from an empty store and replays it all.
   {
-    std::FILE* f = std::fopen(ckpt_path_.c_str(), "r+b");
+    std::FILE* f = std::fopen(base.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 64, SEEK_SET);
     const int byte = std::fgetc(f);
@@ -316,6 +326,31 @@ TEST_F(SegmentedRecoveryTest, CorruptCheckpointFallsBackToLogOnlyReplay) {
   EXPECT_EQ(stats.value().committed_applied, 15u);
   EXPECT_EQ(stats.value().last_seq, 15u);
   verify_state(recovered, expect);
+}
+
+TEST_F(SegmentedRecoveryTest, LeftoverSingleFileCheckpointIsRefused) {
+  // A file at the checkpoint path itself is the retired single-file
+  // format. Its boundary may lie above the log's truncation point, so
+  // neither ignoring it nor replaying the log alone is safe: recovery
+  // stops and names the file, even next to a valid chain.
+  std::map<ObjectId, std::uint64_t> expect;
+  storage::ObjectStore state(16);
+  build_segments(5, expect, &state);
+  checkpoint(state, 5);
+  {
+    std::FILE* f = std::fopen(ckpt_path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("single-file checkpoint", f);
+    std::fclose(f);
+  }
+  storage::ObjectStore recovered(16);
+  auto stats = recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered);
+  ASSERT_FALSE(stats.is_ok());
+  EXPECT_EQ(stats.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_NE(stats.status().to_string().find(ckpt_path_), std::string::npos)
+      << stats.status().to_string();
+  EXPECT_FALSE(
+      recover_checkpoint_and_log(ckpt_path_, "", recovered).is_ok());
 }
 
 TEST_F(SegmentedRecoveryTest, NoCheckpointNoLogIsCleanEmptyStart) {

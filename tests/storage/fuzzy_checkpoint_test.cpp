@@ -1,8 +1,8 @@
 // Fuzzy checkpoint properties (DESIGN.md §15): the copy-on-write snapshot
 // walk must reproduce exactly the flip-time state no matter what concurrent
 // committers do during the encode, and a base+delta chain must recover to
-// the same store/index/wts state as a stop-the-world checkpoint taken at
-// the same boundary.
+// the same store/index/wts state as a stop-the-world copy of the store
+// taken at the same boundary.
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "rodain/common/rng.hpp"
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/ckpt_manifest.hpp"
 
 namespace rodain::storage {
@@ -87,8 +86,8 @@ void expect_same_state(const ObjectStore& got, const StateMap& want) {
 
 std::vector<std::pair<IndexKey, ObjectId>> dump_index(const BPlusTree& t) {
   std::vector<std::pair<IndexKey, ObjectId>> out;
-  t.chunked_scan(128,
-                 [&](const IndexKey& k, ObjectId v) { out.emplace_back(k, v); });
+  t.chunked_scan(
+      128, [&](const IndexKey& k, ObjectId v) { out.emplace_back(k, v); });
   return out;
 }
 
@@ -129,7 +128,7 @@ TEST_F(FuzzyCheckpointTest, BaseMatchesStopTheWorldAtFlip) {
 
 TEST_F(FuzzyCheckpointTest, DeltaChainEquivalentToStopTheWorld) {
   // Property: recovering base + ordered deltas yields exactly the same
-  // store/index/wts state as a stop-the-world checkpoint taken at the last
+  // store/index/wts state as a stop-the-world copy of the store at the last
   // flip. Writers are quiesced at each flip so the reference is exact.
   ObjectStore store;
   BPlusTree index;
@@ -207,7 +206,7 @@ TEST_F(FuzzyCheckpointTest, DeltaChainEquivalentToStopTheWorld) {
   encode_chain(parts, chain);
   ObjectStore dst2;
   BPlusTree dst2_index;
-  auto meta = decode_checkpoint_any(chain.view(), dst2, &dst2_index);
+  auto meta = decode_chain(chain.view(), dst2, &dst2_index);
   ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
   expect_same_state(dst2, reference);
   EXPECT_EQ(dump_index(dst2_index), ref_index);
@@ -362,11 +361,7 @@ TEST_F(FuzzyCheckpointTest, ManifestRoundTripAndValidation) {
 }
 
 TEST_F(FuzzyCheckpointTest, LoaderPrefersFresherArtifactAndFallsBack) {
-  // Legacy file at boundary 50, fuzzy chain at boundary 80: chain wins.
-  ObjectStore old_state;
-  old_state.upsert(1, val("old"), 1);
-  ASSERT_TRUE(write_checkpoint_file(old_state, 50, path("db.ckpt")));
-
+  // The manifest is the only source: its chain at boundary 80 loads.
   ObjectStore new_state;
   new_state.upsert(1, val("new"), 2);
   new_state.snapshot_begin();
@@ -396,7 +391,8 @@ TEST_F(FuzzyCheckpointTest, LoaderPrefersFresherArtifactAndFallsBack) {
   EXPECT_EQ(meta2.value().last_applied, 80u);
   EXPECT_EQ(to_str(dst2.find(1)->value), "new");
 
-  // Corrupt the chain's base: the loader falls back to the legacy file.
+  // Corrupt the chain's base: the loader reports corruption (recovery then
+  // falls back to replaying the whole log).
   {
     std::FILE* f = std::fopen(path("db.ckpt.b1").c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -408,9 +404,8 @@ TEST_F(FuzzyCheckpointTest, LoaderPrefersFresherArtifactAndFallsBack) {
   }
   ObjectStore dst3;
   auto meta3 = load_checkpoint_artifacts(path("db.ckpt"), dst3);
-  ASSERT_TRUE(meta3.is_ok()) << meta3.status().to_string();
-  EXPECT_EQ(meta3.value().last_applied, 50u);
-  EXPECT_EQ(to_str(dst3.find(1)->value), "old");
+  ASSERT_FALSE(meta3.is_ok());
+  EXPECT_EQ(meta3.status().code(), ErrorCode::kCorruption);
 
   // Nothing at all → kNotFound.
   ObjectStore dst4;
@@ -442,9 +437,9 @@ TEST_F(FuzzyCheckpointTest, ChainBytesServeJoinsWithCoveredBoundary) {
 
   auto bytes = read_artifact_chain_bytes(path("db.ckpt"));
   ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
-  EXPECT_EQ(bytes.value().meta.last_applied, 20u);
+  EXPECT_EQ(bytes.value().boundary, 20u);
   ObjectStore dst;
-  auto meta = decode_checkpoint_any(bytes.value().bytes, dst);
+  auto meta = decode_chain(bytes.value().bytes, dst);
   ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
   EXPECT_EQ(meta.value().last_applied, 20u);
   EXPECT_EQ(dst.size(), 2u);

@@ -2,16 +2,14 @@
 //
 //   rodain_ckpt_info <checkpoint-path>
 //
-// The path may name a legacy single-file checkpoint, a bare fuzzy (v3)
-// base, or the root of a fuzzy chain (<path>.manifest + <path>.b<N> /
-// <path>.d<N> artifacts). Verifies every CRC, prints the chain inventory
-// when a manifest exists, then the recovered-state summary: boundary
-// sequence number, object count and size distribution.
+// The path names the root of a checkpoint chain (<path>.manifest +
+// <path>.b<N> / <path>.d<N> artifacts). Verifies every CRC, prints the
+// chain inventory when a manifest exists, then the recovered-state
+// summary: boundary sequence number, object count and size distribution.
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 
-#include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/ckpt_manifest.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 

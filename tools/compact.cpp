@@ -2,23 +2,26 @@
 //
 //   rodain_compact <log-file> <output-checkpoint> [input-checkpoint]
 //
-// Replays the checkpoint (if given) plus the redo log, then writes a fresh
-// checkpoint consistent through the last committed transaction. After a
-// successful compaction the old log can be truncated: a cold start needs
-// only the new checkpoint (plus whatever log the node appends afterwards).
+// Replays the checkpoint chain (if given) plus the redo log, then writes a
+// fresh one-base chain (<output>.manifest and its base file) consistent
+// through the last committed transaction, replacing any chain already at
+// <output>. After a successful compaction the old log can be truncated: a
+// cold start needs only the new chain (plus whatever log the node appends
+// afterwards).
 #include <cinttypes>
 #include <cstdio>
 
 #include "rodain/log/recovery.hpp"
-#include "rodain/storage/checkpoint.hpp"
+#include "rodain/storage/fuzzy_checkpoint.hpp"
 
 using namespace rodain;
 
 int main(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <log-file> <output-checkpoint> [input-checkpoint]\n",
-                 argv[0]);
+    std::fprintf(
+        stderr,
+        "usage: %s <log-file> <output-checkpoint> [input-checkpoint]\n",
+        argv[0]);
     return 2;
   }
   const std::string log_path = argv[1];
@@ -26,15 +29,16 @@ int main(int argc, char** argv) {
   const std::string in_ckpt = argc > 3 ? argv[3] : "";
 
   storage::ObjectStore store;
-  auto stats = log::recover_checkpoint_and_log(in_ckpt, log_path, store);
+  storage::BPlusTree index;
+  auto stats =
+      log::recover_checkpoint_and_log(in_ckpt, log_path, store, &index);
   if (!stats.is_ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  stats.status().to_string().c_str());
     return 1;
   }
-  if (auto s = storage::write_checkpoint_file(store, stats.value().last_seq,
-                                              out_path);
-      !s) {
+  storage::CheckpointChain chain(out_path);
+  if (auto s = chain.write(store, index, stats.value().last_seq); !s) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
                  s.to_string().c_str());
     return 1;

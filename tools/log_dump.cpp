@@ -32,7 +32,8 @@ void print_checkpoint_chain(const std::string& ckpt_path) {
   auto m = storage::read_manifest_file(manifest_path);
   if (!m.is_ok()) {
     if (std::filesystem::exists(ckpt_path)) {
-      std::printf("checkpoint: legacy single file %s (no manifest)\n\n",
+      std::printf("checkpoint: retired single-file format %s (no manifest;"
+                  " recovery refuses it)\n\n",
                   ckpt_path.c_str());
     } else {
       std::printf("checkpoint: none (%s)\n\n",
