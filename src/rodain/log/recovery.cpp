@@ -37,30 +37,24 @@ RecoveryProgress& progress() {
   return p;
 }
 
-/// Load the checkpoint; on corruption, clear the target and report fallback
-/// so the caller replays the log from an empty store instead of aborting.
-Result<std::pair<ValidationTs, bool>> load_checkpoint_or_fallback(
-    const std::string& checkpoint_path, bool log_exists,
-    storage::ObjectStore& store, storage::BPlusTree* index) {
-  if (checkpoint_path.empty()) return std::pair<ValidationTs, bool>{0, false};
+/// Load the checkpoint chain; returns its boundary (0 when there is none).
+/// A chain that exists but does not load fails recovery, and leaves the
+/// store as it was: the log alone cannot rebuild what the chain covers.
+/// Truncation deleted that part of the log, and data loaded outside the
+/// log (wts 0) was never in it. Such a node rejoins from its peer instead.
+Result<ValidationTs> load_checkpoint(const std::string& checkpoint_path,
+                                     storage::ObjectStore& store,
+                                     storage::BPlusTree* index) {
+  if (checkpoint_path.empty()) return ValidationTs{0};
   auto meta = storage::load_checkpoint_artifacts(checkpoint_path, store, index);
-  if (meta.is_ok()) {
-    return std::pair<ValidationTs, bool>{meta.value().last_applied, false};
+  if (meta.is_ok()) return meta.value().last_applied;
+  if (meta.status().code() == ErrorCode::kNotFound) return ValidationTs{0};
+  if (meta.status().code() == ErrorCode::kCorruption) {
+    return Status::error(ErrorCode::kCorruption,
+                         "checkpoint " + checkpoint_path + ": " +
+                             meta.status().message());
   }
-  if (meta.status().code() == ErrorCode::kNotFound) {
-    return std::pair<ValidationTs, bool>{0, false};
-  }
-  // A refused leftover file is never skipped.
-  if (!log_exists ||
-      meta.status().code() == ErrorCode::kFailedPrecondition) {
-    return meta.status();
-  }
-  // Unreadable checkpoint (torn rename, bit rot) but the log survives:
-  // every committed transaction is still in the un-truncated log, so a
-  // full replay from empty reconstructs the same state.
-  store.clear();
-  if (index) *index = storage::BPlusTree{};
-  return std::pair<ValidationTs, bool>{0, true};
+  return meta.status();  // a refused leftover file is never skipped
 }
 
 }  // namespace
@@ -158,13 +152,9 @@ Result<RecoveryStats> recover_checkpoint_and_log(
     const std::string& checkpoint_path, const std::string& log_path,
     storage::ObjectStore& store, storage::BPlusTree* index) {
   const auto t_total = SteadyClock::now();
-  std::error_code ec;
-  const bool log_exists =
-      !log_path.empty() && std::filesystem::exists(log_path, ec);
-  auto loaded =
-      load_checkpoint_or_fallback(checkpoint_path, log_exists, store, index);
+  auto loaded = load_checkpoint(checkpoint_path, store, index);
   if (!loaded.is_ok()) return loaded.status();
-  const ValidationTs boundary = loaded.value().first;
+  const ValidationTs boundary = loaded.value();
 
   auto stats = recover_from_file(log_path, store, boundary, index);
   if (!stats.is_ok()) {
@@ -176,7 +166,6 @@ Result<RecoveryStats> recover_checkpoint_and_log(
     }
     return stats.status();
   }
-  stats.value().checkpoint_fallback = loaded.value().second;
   if (stats.value().last_seq < boundary) stats.value().last_seq = boundary;
   obs::metrics().gauge("log.recovery_replay_ms").set(ms_since(t_total));
   return stats;
@@ -184,8 +173,8 @@ Result<RecoveryStats> recover_checkpoint_and_log(
 
 namespace {
 
-/// Shared front half of the segmented restart paths: load the checkpoint
-/// (with corrupt-checkpoint fallback), decode the surviving segments in
+/// Shared front half of the segmented restart paths: load the checkpoint,
+/// decode the surviving segments in
 /// parallel, and concatenate the records. Fills the checkpoint/decode
 /// fields of `stats` — including which segment supplied the oldest commit
 /// the replay will have to reach back to — and returns the record stream
@@ -202,12 +191,10 @@ Result<std::vector<Record>> load_and_decode_segments(
   const bool log_exists = segments.is_ok() && !segments.value().empty();
 
   const auto t_ckpt = SteadyClock::now();
-  auto loaded =
-      load_checkpoint_or_fallback(checkpoint_path, log_exists, store, index);
+  auto loaded = load_checkpoint(checkpoint_path, store, index);
   if (!loaded.is_ok()) return loaded.status();
-  boundary = loaded.value().first;
+  boundary = loaded.value();
   stats.checkpoint_load_ms = ms_since(t_ckpt);
-  stats.checkpoint_fallback = loaded.value().second;
   stats.last_seq = boundary;
   if (!log_exists) return std::vector<Record>{};
 
@@ -267,9 +254,7 @@ Result<std::vector<Record>> load_and_decode_segments(
     }
     stats.log_disk_bytes += survivors[i].bytes;
     // Attribute the oldest seq the replay reaches back to: the smallest
-    // commit past the boundary, and the segment it came from. After a
-    // corrupt-checkpoint fallback this names how far back the log-only
-    // replay had to go — previously only torn_tail was surfaced.
+    // commit past the boundary, and the segment it came from.
     for (auto& r : decoded[i].records.value()) {
       if (r.is_commit() && r.seq > boundary &&
           (stats.oldest_replayed_seq == 0 ||

@@ -34,13 +34,10 @@ struct RecoveryStats {
   double checkpoint_load_ms{0};
   double decode_ms{0};
   double apply_ms{0};
-  /// Checkpoint was present but unreadable; recovery fell back to replaying
-  /// the whole log from an empty store instead of aborting.
-  bool checkpoint_fallback{false};
   /// Smallest commit seq actually replayed past the boundary, and the
-  /// segment file that supplied it — when a recovery is long (especially a
-  /// checkpoint_fallback replay-from-empty), this names which segment the
-  /// replay had to reach back to. Zero / empty when nothing was replayed.
+  /// segment file that supplied it: when a recovery is long, this names
+  /// which segment the replay had to reach back to. Zero / empty when
+  /// nothing was replayed.
   ValidationTs oldest_replayed_seq{0};
   std::string oldest_seq_segment;
 
@@ -88,8 +85,9 @@ Result<RecoveryStats> recover_checkpoint_and_log(
 /// usually deleted them already). Surviving segments decode in parallel
 /// across up to `decode_threads` workers before the ordered
 /// single-threaded apply; per-phase timings land in the stats and the
-/// `log.recovery_replay_ms` gauge. An unreadable checkpoint falls back to
-/// log-only replay, like recover_checkpoint_and_log.
+/// `log.recovery_replay_ms` gauge. A checkpoint chain that exists but
+/// does not load fails with kCorruption naming the checkpoint path, and
+/// the store is left as it was: the node rejoins from its peer instead.
 Result<RecoveryStats> recover_checkpoint_and_segments(
     const std::string& checkpoint_path, const std::string& log_dir,
     storage::ObjectStore& store, storage::BPlusTree* index = nullptr,

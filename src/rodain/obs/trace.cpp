@@ -1,6 +1,7 @@
 #include "rodain/obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 
@@ -15,6 +16,13 @@ namespace {
 void count_dropped_event() {
   static Counter& dropped = metrics().counter("trace.events_dropped");
   dropped.inc();
+}
+
+/// Once the ring wraps, two writers can claim the same slot: every field
+/// moves as a relaxed atomic, so a torn event is possible, a data race not.
+template <typename T>
+std::atomic_ref<T> field(const T& f) {
+  return std::atomic_ref<T>(const_cast<T&>(f));
 }
 
 }  // namespace
@@ -49,27 +57,26 @@ void SpanTracer::reset(std::size_t capacity) {
   next_.store(0, std::memory_order_relaxed);
 }
 
-void SpanTracer::record_span(Phase phase, std::int64_t begin_us,
-                             std::int64_t end_us, std::uint64_t arg) {
+void SpanTracer::record(Phase phase, std::int64_t ts_us, std::int64_t dur_us,
+                        std::uint64_t arg) {
   const std::uint64_t slot = next_.fetch_add(1, std::memory_order_relaxed);
   if (slot >= ring_.size()) count_dropped_event();
-  TraceEvent& e = ring_[slot & mask_];
-  e.ts_us = begin_us;
-  e.dur_us = end_us >= begin_us ? end_us - begin_us : 0;
-  e.arg = arg;
-  e.tid = thread_id();
-  e.phase = phase;
+  const TraceEvent& e = ring_[slot & mask_];
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  field(e.ts_us).store(ts_us, kRelaxed);
+  field(e.dur_us).store(dur_us, kRelaxed);
+  field(e.arg).store(arg, kRelaxed);
+  field(e.tid).store(thread_id(), kRelaxed);
+  field(e.phase).store(phase, kRelaxed);
+}
+
+void SpanTracer::record_span(Phase phase, std::int64_t begin_us,
+                             std::int64_t end_us, std::uint64_t arg) {
+  record(phase, begin_us, end_us >= begin_us ? end_us - begin_us : 0, arg);
 }
 
 void SpanTracer::record_instant(Phase phase, std::uint64_t arg) {
-  const std::uint64_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= ring_.size()) count_dropped_event();
-  TraceEvent& e = ring_[slot & mask_];
-  e.ts_us = now_us();
-  e.dur_us = -1;
-  e.arg = arg;
-  e.tid = thread_id();
-  e.phase = phase;
+  record(phase, now_us(), -1, arg);
 }
 
 std::vector<TraceEvent> SpanTracer::snapshot() const {
@@ -78,7 +85,13 @@ std::vector<TraceEvent> SpanTracer::snapshot() const {
   const std::uint64_t retained = n < ring_.size() ? n : ring_.size();
   out.reserve(retained);
   const std::uint64_t first = n - retained;
-  for (std::uint64_t i = first; i < n; ++i) out.push_back(ring_[i & mask_]);
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  for (std::uint64_t i = first; i < n; ++i) {
+    const TraceEvent& e = ring_[i & mask_];
+    out.push_back({field(e.ts_us).load(kRelaxed),
+                   field(e.dur_us).load(kRelaxed), field(e.arg).load(kRelaxed),
+                   field(e.tid).load(kRelaxed), field(e.phase).load(kRelaxed)});
+  }
   return out;
 }
 

@@ -90,6 +90,9 @@ class SpanTracer {
   bool dump_to_file(const std::string& path) const;
 
  private:
+  void record(Phase phase, std::int64_t ts_us, std::int64_t dur_us,
+              std::uint64_t arg);
+
   std::vector<TraceEvent> ring_;
   std::size_t mask_{0};
   std::atomic<std::uint64_t> next_{0};

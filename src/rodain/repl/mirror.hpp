@@ -159,9 +159,6 @@ class MirrorService {
   [[nodiscard]] std::size_t reorder_open() const {
     return reorderer_.open_txns();
   }
-  [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
-    return endpoint_.stats();
-  }
   /// False after any stored-log write failure: the on-disk log may have
   /// holes, so it must never vouch for dense coverage when a rejoin is
   /// served from disk (the node that takes over consults this before

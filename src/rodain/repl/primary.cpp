@@ -108,7 +108,6 @@ PrimaryReplicator::PrimaryReplicator(net::Channel& channel, const Clock& clock,
                           // been lost in flight — ship it again (the mirror
                           // drops what it already applied as stale).
                           writer_.resend_pending();
-                          if (hooks_.on_reconnected) hooks_.on_reconnected();
                         },
                     .on_protocol_error = {},
                 }),
@@ -202,14 +201,11 @@ void PrimaryReplicator::on_join_request(ValidationTs have) {
       bytes = std::move(artifacts->checkpoint_bytes);
       tail = std::move(artifacts->catch_up);
       from_disk = true;
-      ++snapshots_from_disk_;
       pm().snapshots_from_disk.inc();
     }
   }
   if (!from_disk) {
-    ByteWriter w(store_.size() * 80 + 64);
-    storage::encode_live_chain(store_, index_, boundary, w);
-    bytes = w.take();
+    bytes = storage::encode_live_chain(store_, index_, boundary);
     // Catch-up: committed transactions past the boundary that the writer
     // already logged (the joiner drops any overlap as stale).
     tail = writer_.tail_since(boundary);

@@ -60,8 +60,6 @@ class PrimaryReplicator final : public log::Shipper {
     std::function<void()> on_mirror_joined;
     /// The link dropped.
     std::function<void()> on_disconnect;
-    /// The link came back (after unacked txns were already re-shipped).
-    std::function<void()> on_reconnected;
     /// A heartbeat arrived whose sender also claims a primary role: split
     /// brain (a spurious mirror takeover during a link-only outage). The
     /// argument is the peer's commit height from its heartbeat; the node
@@ -102,16 +100,8 @@ class PrimaryReplicator final : public log::Shipper {
   [[nodiscard]] std::uint64_t snapshots_served() const {
     return snapshots_served_;
   }
-  /// How many of those were served from the on-disk artifacts.
-  [[nodiscard]] std::uint64_t snapshots_from_disk() const {
-    return snapshots_from_disk_;
-  }
-  [[nodiscard]] std::uint64_t send_failures() const { return send_failures_; }
   [[nodiscard]] std::uint64_t snapshot_chunks_resent() const {
     return snapshot_chunks_resent_;
-  }
-  [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
-    return endpoint_.stats();
   }
   /// Endpoint ages for the split-brain tie-break: with equal commit
   /// heights, the younger endpoint (larger epoch — the spurious
@@ -156,7 +146,6 @@ class PrimaryReplicator final : public log::Shipper {
   Options options_;
   ValidationTs mirror_applied_{0};
   std::uint64_t snapshots_served_{0};
-  std::uint64_t snapshots_from_disk_{0};
   std::uint64_t send_failures_{0};
   std::uint64_t snapshot_chunks_resent_{0};
   std::optional<CachedSnapshot> last_snapshot_;

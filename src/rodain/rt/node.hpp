@@ -1,10 +1,11 @@
 // The real-time runtime: a RODAIN node on actual threads and sockets.
 //
-// Same passive engine as the simulator, driven by worker threads instead of
-// virtual time: an EDF-ordered ready queue feeds workers, a timer thread
-// enforces firm deadlines, the Log Writer ships redo records over TCP to a
-// peer node running the Mirror role, and a heartbeat/watchdog thread drives
-// the §2 role transitions.
+// Same passive engine and replica controller as the simulator, driven by
+// worker threads instead of virtual time: an EDF-ordered ready queue feeds
+// workers, a timer thread enforces firm deadlines, the Log Writer ships
+// redo records over TCP to a peer node running the Mirror role, and a
+// heartbeat thread ticks the repl::ReplicaController that decides the §2
+// role transitions.
 //
 // Locking (DESIGN.md §11): `commit_mu_` serializes everything that touches
 // engine or replication state — every engine step, log emission, role
@@ -31,14 +32,9 @@
 #include "rodain/common/stats.hpp"
 #include "rodain/engine/engine.hpp"
 #include "rodain/obs/series.hpp"
-#include "rodain/log/log_storage.hpp"
-#include "rodain/log/writer.hpp"
-#include "rodain/log/checkpointer.hpp"
-#include "rodain/net/channel.hpp"
 #include "rodain/net/http.hpp"
 #include "rodain/obs/availability.hpp"
-#include "rodain/repl/mirror.hpp"
-#include "rodain/repl/primary.hpp"
+#include "rodain/repl/controller.hpp"
 #include "rodain/log/recovery.hpp"
 #include "rodain/sched/overload.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
@@ -78,14 +74,11 @@ struct NodeConfig {
   /// redo index drains (each slice runs under the commit mutex).
   Duration recovery_sweep_interval{Duration::millis(1)};
   std::size_t recovery_sweep_txns{256};
+  /// Role-rule timing: see repl::ReplicaController::Config (the threaded
+  /// runtime takes over with no activation delay).
   Duration heartbeat_interval{Duration::millis(100)};
   Duration watchdog_timeout{Duration::millis(500)};
-  /// Oldest unacked mirror shipment older than this declares the mirror
-  /// lost (committers are never stranded). Zero disables.
   Duration ack_timeout{Duration::millis(250)};
-  /// Grace window for a dropped mirror link before escalating to
-  /// on_mirror_lost; gives reconnect/backoff a chance to ride out flaps.
-  /// Zero keeps the historical instant escalation.
   Duration disconnect_grace{Duration::zero()};
   /// Group-commit batching for the mirror ship path (DESIGN.md §9); flush
   /// timers run on the node's timer thread. The default ships every
@@ -125,7 +118,7 @@ struct CommitInfo {
   std::vector<storage::Value> captured_reads;
 };
 
-class Node {
+class Node final : private repl::ReplicaController::Driver {
  public:
   explicit Node(NodeConfig config, std::string name = "rodain");
   ~Node();
@@ -198,15 +191,19 @@ class Node {
   };
 
   /// Wraps the raw channel so every inbound frame and disconnect runs
-  /// under the commit mutex (replication state is not thread-safe). Handlers
-  /// capture the node and the epoch at install time: when the node tears a
-  /// role down it bumps the epoch under the mutex, so a late callback from
-  /// the socket reader thread is dropped instead of touching freed
-  /// replication objects.
+  /// under the commit mutex (replication state is not thread-safe). The
+  /// endpoints tear down under the mutex too, so a late callback from the
+  /// socket reader finds its endpoint's liveness guard expired. The
+  /// channel may outlive the node: destroying the wrapper (stop())
+  /// detaches the node from it.
   class GuardedChannel final : public net::Channel {
    public:
     GuardedChannel(Node& node, net::Channel& inner)
         : node_(node), inner_(inner) {}
+    ~GuardedChannel() override {
+      inner_.set_message_handler({});
+      inner_.set_disconnect_handler({});
+    }
     void set_message_handler(MessageHandler handler) override;
     void set_disconnect_handler(DisconnectHandler handler) override;
     Status send(std::vector<std::byte> frame) override {
@@ -220,33 +217,39 @@ class Node {
     net::Channel& inner_;
   };
 
-  void build_primary_locked(LogMode mode);
+  // repl::ReplicaController::Driver; every call runs under commit_mu_.
+  void on_role(NodeRole role) override;
+  void build_engine(log::LogWriter& writer, ValidationTs next_seq) override;
+  void drop_engine() override;
+  void wake_at(TimePoint at) override { wake_heartbeat_locked(at); }
+  void schedule_flush(Duration delay) override;
+  Status write_checkpoint(ValidationTs boundary) override {
+    return write_checkpoint_chain_locked(boundary);
+  }
+  std::optional<repl::JoinArtifacts> join_artifacts() override;
+  [[nodiscard]] ValidationTs commit_height() const override {
+    return engine_ ? engine_->installed_low_water() : 0;
+  }
+
+  /// Enter a role on `peer` (null: a lone node); `start` asks the
+  /// controller for it.
+  void start_role(net::Channel* peer, const std::function<void()>& start);
+  /// Workers, the timer and the checkpointer, once a role serves.
+  void start_serving_threads_locked();
   void start_http();
   [[nodiscard]] net::HttpServer::Response route_http(const std::string& path);
   void start_sampler_locked();
   void sample_metrics_locked();
-  void become_locked(NodeRole role);
-  void escalate_mirror_lost_locked(const char* why);
-  void take_over_locked();
-  bool serving_locked() const;
-  Status write_checkpoint_locked();
   /// One write of chain_ (DESIGN.md §15), entered and exited with
   /// commit_mu_ held. A primary holds it only for the O(1) flip and
-  /// RELEASES it for the encode and file writes: safe because the
-  /// Checkpointer's single-flight guard rejects concurrent runs and stop()
-  /// joins the checkpointer thread before tearing the engine down. A
-  /// mirror holds it throughout: MirrorService::poll calls in under it,
-  /// and a snapshot install must never run under the walker.
+  /// RELEASES it for the encode and file writes: the Checkpointer's
+  /// single-flight guard rejects concurrent runs, the encode reads only
+  /// the store and index, and a demotion waits for it (encoding_). A
+  /// mirror holds it throughout: a snapshot install must never run under
+  /// the walker.
   Status write_checkpoint_chain_locked(ValidationTs boundary);
   /// Starts the cadence thread of a serving node, when one is configured.
   void start_checkpointer_locked();
-  /// Mirror-role options shared by start_mirror and start_rejoin.
-  repl::MirrorService::Options mirror_options_locked();
-  /// Disk-served join (DESIGN.md §12): checkpoint bytes + the log records
-  /// covering (boundary, installed_low_water], or nullopt when the on-disk
-  /// artifacts cannot vouch for dense coverage (then the replicator falls
-  /// back to a live snapshot encode). Requires commit_mu_.
-  std::optional<repl::JoinArtifacts> join_artifacts_locked();
 
   void worker_loop();
   void timer_loop();
@@ -254,8 +257,9 @@ class Node {
   /// Wake the timer thread if `at` is earlier than the time it sleeps
   /// toward (requires commit_mu_).
   void wake_timer_locked(TimePoint at);
-  /// Same rule for the heartbeat thread: the first unacked shipment's ack
-  /// deadline and the end of a disconnect grace (requires commit_mu_).
+  /// Same rule for the heartbeat thread, which ticks the replica
+  /// controller: the controller asks for its due times (requires
+  /// commit_mu_).
   void wake_heartbeat_locked(TimePoint at);
   /// Background replay while the redo index drains (under commit_mu_).
   void sweeper_loop();
@@ -301,8 +305,8 @@ class Node {
   mutable std::mutex queue_mu_;
   std::condition_variable ready_cv_;  ///< pairs with queue_mu_
   std::condition_variable timer_cv_;  ///< timer thread; pairs with commit_mu_
-  /// Heartbeat thread; pairs with commit_mu_. Notified by stop() and
-  /// wake_heartbeat_locked().
+  /// Heartbeat thread; pairs with commit_mu_. Notified by stop(),
+  /// wake_heartbeat_locked() and the end of an off-lock chain encode.
   std::condition_variable heartbeat_cv_;
   /// Pairs with commit_mu_: the checkpointer, sampler and sweeper threads
   /// keep their own time on it; only stop() notifies it.
@@ -313,33 +317,27 @@ class Node {
 
   storage::ObjectStore store_;
   storage::BPlusTree index_;
+  /// The segmented-log open trimmed a torn tail left by a crash; folded
+  /// into RecoveryStats::torn_tail by recover_from_local_state.
+  bool log_tail_trimmed_{false};
   std::unique_ptr<log::LogStorage> disk_;
-  std::unique_ptr<log::LogWriter> log_writer_;
-  std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<GuardedChannel> guarded_channel_;
-  std::unique_ptr<repl::PrimaryReplicator> replicator_;
-  std::unique_ptr<repl::MirrorService> mirror_;
-  /// Captured from MirrorService::disk_log_dense() at takeover, sticky for
-  /// this process lifetime: false means a stored-log write failed while we
-  /// were the mirror, so join_artifacts_locked must not serve catch-up from
-  /// the disk log (it may have holes) — live encode takes over.
-  bool mirror_disk_dense_{true};
-  net::Channel* peer_{nullptr};
+  /// Role, writer and replication objects (under commit_mu_).
+  repl::ReplicaController replica_;
+  /// Built over replica_'s writer; destroyed before it.
+  std::unique_ptr<engine::Engine> engine_;
+  /// A primary's chain encode runs with commit_mu_ released (under
+  /// commit_mu_): a demotion waits for it to end.
+  bool encoding_{false};
 
   sched::OverloadManager overload_;
   /// Serving/outage timeline (under commit_mu_): role flips feed it, every
   /// first-commit-of-a-window stamps time-to-first-commit.
   obs::AvailabilityTimeline availability_;
   std::unique_ptr<net::HttpServer> http_;
-  /// Written under commit_mu_; atomic so role()/serving() and the unlocked
-  /// read_committed fast path never touch the commit mutex.
+  /// replica_'s role, copied under commit_mu_; atomic so role()/serving()
+  /// and the unlocked read_committed fast path never touch the mutex.
   std::atomic<NodeRole> role_{NodeRole::kDown};
-  /// Bumped (under commit_mu_) whenever replication objects are torn down;
-  /// stale channel callbacks compare against it and bail out.
-  std::uint64_t channel_epoch_{0};
-  /// When the mirror link dropped (primary side, under commit_mu_);
-  /// escalation waits out config_.disconnect_grace.
-  std::optional<TimePoint> link_down_since_;
 
   std::unordered_map<TxnId, Active> active_;
   struct ReadyOrder {
@@ -386,12 +384,6 @@ class Node {
   std::atomic<int> recovery_mode_{0};
   obs::TimeSeries series_;
   ValidationTs recovered_next_seq_{1};
-  /// The segmented-log open trimmed a torn tail left by a crash; folded
-  /// into RecoveryStats::torn_tail by recover_from_local_state.
-  bool log_tail_trimmed_{false};
-  /// Cadence + truncation driver behind the checkpointer thread (under
-  /// commit_mu_).
-  log::Checkpointer ckpt_;
   /// The checkpoint chain every role writes: the mirror's cadence, then
   /// the survivor's after a takeover, extend the same chain.
   storage::CheckpointChain chain_;

@@ -197,8 +197,22 @@ FuzzyEncodeStats encode_fuzzy_delta(ObjectStore& store,
   return stats;
 }
 
-void encode_live_chain(const ObjectStore& store, const BPlusTree* index,
-                       ValidationTs boundary, ByteWriter& out) {
+std::size_t chain_encode_reserve(const ObjectStore& store,
+                                 const BPlusTree* index) {
+  // Chain and fuzzy headers, counts, length and CRC.
+  constexpr std::size_t kFixed = 128;
+  // put_record: id, wts, flags and a length varint (a u32 size at most),
+  // then the value; put_index_op: kind, key and an oid varint.
+  constexpr std::size_t kRecord = 8 + 8 + 1 + 5;
+  constexpr std::size_t kIndexOp = 1 + sizeof(IndexKey::bytes) + 10;
+  return kFixed + store.size() * kRecord + store.value_bytes() +
+         (index ? index->size() * kIndexOp : 0);
+}
+
+std::vector<std::byte> encode_live_chain(const ObjectStore& store,
+                                         const BPlusTree* index,
+                                         ValidationTs boundary) {
+  ByteWriter out(chain_encode_reserve(store, index));
   put_chain_header(out, 1);
   const std::size_t length_at = out.size();
   out.put_u64(0);
@@ -218,6 +232,7 @@ void encode_live_chain(const ObjectStore& store, const BPlusTree* index,
   }
   out.put_u32(crc32c(out.view().subspan(body_start)));
   out.patch_u64(length_at, out.size() - body_start);
+  return out.take();
 }
 
 namespace {
@@ -343,12 +358,23 @@ Result<CheckpointMeta> load_checkpoint_artifacts(
   if (m.entries.empty()) {
     return Status::error(ErrorCode::kCorruption, "empty checkpoint chain");
   }
-  CheckpointMeta meta;
-  for (std::size_t i = 0; i < m.entries.size(); ++i) {
-    auto buf = read_artifact(manifest_path, m.entries[i]);
+  // Every artifact is read and its CRC checked before the store is
+  // touched: a chain that does not load leaves the store as it was.
+  std::vector<std::vector<std::byte>> parts;
+  parts.reserve(m.entries.size());
+  for (const ManifestEntry& e : m.entries) {
+    auto buf = read_artifact(manifest_path, e);
     if (!buf.is_ok()) return buf.status();
-    auto r = i == 0 ? decode_fuzzy_base(buf.value(), store, index)
-                    : apply_fuzzy_delta(buf.value(), store, index);
+    if (auto body = checked_body(buf.value()); !body.is_ok()) {
+      return Status::error(ErrorCode::kCorruption,
+                           e.file + ": " + body.status().message());
+    }
+    parts.push_back(std::move(buf).value());
+  }
+  CheckpointMeta meta;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    auto r = i == 0 ? decode_fuzzy_base(parts[i], store, index)
+                    : apply_fuzzy_delta(parts[i], store, index);
     if (!r.is_ok()) return r.status();
     meta.last_applied = r.value().last_applied;
   }
@@ -431,7 +457,7 @@ CheckpointChain::Flip CheckpointChain::flip(ObjectStore& store,
 
 Status CheckpointChain::encode(Flip& f, ObjectStore& store,
                                const BPlusTree& index) {
-  ByteWriter w(store.size() * 80 + 64);
+  ByteWriter w(chain_encode_reserve(store, &index));
   f.stats = f.base ? encode_fuzzy_base(store, index, f.boundary, w)
                    : encode_fuzzy_delta(store, f.journal, f.boundary,
                                         f.floor_epoch, w);

@@ -62,11 +62,17 @@ FuzzyEncodeStats encode_fuzzy_delta(ObjectStore& store,
                                     std::uint64_t floor_epoch, ByteWriter& out);
 
 /// A one-base chain container, encoded from a plain store walk and index
-/// range scan straight into `out` (the live join). The caller excludes
-/// writers; no snapshot is taken, so this may run while a cadenced
-/// checkpoint's encode holds the store's one snapshot.
-void encode_live_chain(const ObjectStore& store, const BPlusTree* index,
-                       ValidationTs boundary, ByteWriter& out);
+/// range scan (the live join). The caller excludes writers; no snapshot is
+/// taken, so this may run while a cadenced checkpoint's encode holds the
+/// store's one snapshot.
+[[nodiscard]] std::vector<std::byte> encode_live_chain(
+    const ObjectStore& store, const BPlusTree* index, ValidationTs boundary);
+
+/// The buffer every encode of `store` and `index` reserves: at least the
+/// size of a base or a live chain (every record and index entry at its
+/// widest framing), so no encode regrows and copies what it has written.
+[[nodiscard]] std::size_t chain_encode_reserve(const ObjectStore& store,
+                                               const BPlusTree* index);
 
 /// Decode a v3 base into `store` (cleared first) and `index` (reset).
 Result<CheckpointMeta> decode_fuzzy_base(std::span<const std::byte> data,

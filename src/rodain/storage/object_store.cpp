@@ -45,6 +45,7 @@ Status ObjectStore::insert(ObjectId id, Value value) {
     return Status::error(ErrorCode::kAlreadyExists, "object id taken");
   }
   ObjectRecord rec;
+  resize_value(0, value.size());
   rec.value = std::move(value);
   rec.dirty_epoch = epoch_.load(std::memory_order_relaxed);
   insert_internal(id, std::move(rec));
@@ -68,6 +69,7 @@ ObjectRecord& ObjectStore::upsert(ObjectId id, Value value, ValidationTs wts) {
         // that observes the new version (via the seqlock's release edge)
         // is guaranteed to find the retained old one.
         maybe_retain(id, rec);
+        resize_value(rec.value.size(), value.size());
         rec.write_begin();
         rec.value.store_inline_relaxed(value.view());
         rec.bump_wts(wts);
@@ -90,6 +92,7 @@ ObjectRecord& ObjectStore::upsert(ObjectId id, Value value, ValidationTs wts) {
   if (Slot* s = locate(id)) {
     ObjectRecord& rec = s->record;
     maybe_retain(id, rec);
+    resize_value(rec.value.size(), value.size());
     rec.value = std::move(value);
     if (wts > rec.wts) rec.wts = wts;
     if (rec.deleted) {
@@ -100,6 +103,7 @@ ObjectRecord& ObjectStore::upsert(ObjectId id, Value value, ValidationTs wts) {
     return rec;
   }
   ObjectRecord rec;
+  resize_value(0, value.size());
   rec.value = std::move(value);
   rec.wts = wts;
   rec.dirty_epoch = epoch_.load(std::memory_order_relaxed);
@@ -113,6 +117,7 @@ ObjectRecord& ObjectStore::tombstone(ObjectId id, ValidationTs wts) {
       ObjectRecord& rec = s->record;
       if (rec.value.is_inline()) {
         maybe_retain(id, rec);
+        resize_value(rec.value.size(), 0);
         rec.write_begin();
         rec.value.store_inline_relaxed({});
         rec.bump_wts(wts);
@@ -133,6 +138,7 @@ ObjectRecord& ObjectStore::tombstone(ObjectId id, ValidationTs wts) {
   if (Slot* s = locate(id)) {
     ObjectRecord& rec = s->record;
     maybe_retain(id, rec);
+    resize_value(rec.value.size(), 0);
     rec.value.clear();
     if (wts > rec.wts) rec.wts = wts;
     if (!rec.deleted) {
@@ -235,6 +241,7 @@ bool ObjectStore::erase(ObjectId id) {
   // The retained copy is the only way an erased record still reaches the
   // snapshot walker (the final retain sweep emits it).
   maybe_retain(id, s->record);
+  resize_value(s->record.value.size(), 0);
   table_gen_.fetch_add(1, std::memory_order_release);
   if (s->record.deleted) tombstones_.fetch_sub(1, std::memory_order_relaxed);
   // Backward-shift deletion keeps probe sequences contiguous.
@@ -265,6 +272,7 @@ void ObjectStore::clear() {
   for (Slot& s : slots_) s = Slot{};
   size_.store(0, std::memory_order_relaxed);
   tombstones_.store(0, std::memory_order_relaxed);
+  value_bytes_.store(0, std::memory_order_relaxed);
 }
 
 void ObjectStore::grow() {
@@ -395,7 +403,8 @@ void ObjectStore::scan_slot(Slot& s, std::uint64_t capture,
     }
     std::uint64_t words[Value::kInlineWords];
     std::size_t value_size = 0;
-    const bool inline_payload = rec.value.load_inline_relaxed(words, value_size);
+    const bool inline_payload =
+        rec.value.load_inline_relaxed(words, value_size);
     Value heap_copy;
     if (!inline_payload) heap_copy = rec.value;  // stable under shared lock
     wts = rec.wts_relaxed();

@@ -141,8 +141,8 @@ TEST(Provisioning, CheckpointCarriesIndexAndSkipsTombstones) {
 
   // Both encoders: the live chain a join ships, and the chain the writer
   // persists (through a corrupt write first, which recovery must reject).
-  ByteWriter w;
-  storage::encode_live_chain(rig.store, &rig.index, 2, w);
+  const std::vector<std::byte> live =
+      storage::encode_live_chain(rig.store, &rig.index, 2);
   const auto dir = std::filesystem::temp_directory_path() /
                    ("rodain_prov_ckpt_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -166,7 +166,7 @@ TEST(Provisioning, CheckpointCarriesIndexAndSkipsTombstones) {
     auto meta =
         from_disk ? storage::load_checkpoint_artifacts(path, restored,
                                                        &restored_index)
-                  : storage::decode_chain(w.view(), restored, &restored_index);
+                  : storage::decode_chain(live, restored, &restored_index);
     ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
     EXPECT_EQ(meta.value().object_count, 1u);  // the tombstone was compacted
     EXPECT_EQ(meta.value().last_applied, 2u);

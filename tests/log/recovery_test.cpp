@@ -8,6 +8,7 @@
 
 #include "rodain/common/rng.hpp"
 #include "rodain/log/log_storage.hpp"
+#include "rodain/log/redo_index.hpp"
 #include "rodain/log/segment.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
@@ -303,29 +304,74 @@ TEST_F(SegmentedRecoveryTest, TornTailInNewestSegmentTolerated) {
   verify_state(recovered, expect);
 }
 
-TEST_F(SegmentedRecoveryTest, CorruptCheckpointFallsBackToLogOnlyReplay) {
+/// Flip one payload byte of a checkpoint artifact: its CRC fails.
+void flip_byte(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 64, SEEK_SET);
+  const int byte = std::fgetc(f);
+  std::fseek(f, 64, SEEK_SET);
+  std::fputc(byte ^ 0x40, f);
+  std::fclose(f);
+}
+
+/// Recovery failed on the checkpoint and left `store` holding only the
+/// sentinel object it started with.
+void expect_refused(const Result<RecoveryStats>& stats,
+                    const std::string& ckpt_path,
+                    const storage::ObjectStore& store) {
+  ASSERT_FALSE(stats.is_ok());
+  EXPECT_EQ(stats.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(stats.status().to_string().find(ckpt_path), std::string::npos)
+      << stats.status().to_string();
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_NE(store.find(999), nullptr);
+}
+
+TEST_F(SegmentedRecoveryTest, CorruptCheckpointFailsRecovery) {
+  // The chain exists but does not load. Even with the whole log present,
+  // recovery does not replay it from empty: data loaded outside the log
+  // would be missing. The store is left as it was.
   std::map<ObjectId, std::uint64_t> expect;
   storage::ObjectStore state(16);
   build_segments(15, expect, &state);
-  const std::string base = checkpoint(state, 15);
-  // Flip a payload byte: the checkpoint CRC fails, but the full log still
-  // exists, so recovery restarts from an empty store and replays it all.
-  {
-    std::FILE* f = std::fopen(base.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 64, SEEK_SET);
-    const int byte = std::fgetc(f);
-    std::fseek(f, 64, SEEK_SET);
-    std::fputc(byte ^ 0x40, f);
-    std::fclose(f);
-  }
+  flip_byte(checkpoint(state, 15));
   storage::ObjectStore recovered(16);
-  auto stats = recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered);
-  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
-  EXPECT_TRUE(stats.value().checkpoint_fallback);
-  EXPECT_EQ(stats.value().committed_applied, 15u);
-  EXPECT_EQ(stats.value().last_seq, 15u);
-  verify_state(recovered, expect);
+  recovered.upsert(999, counter_val(1), 0);
+  expect_refused(
+      recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered),
+      ckpt_path_, recovered);
+  RedoIndex redo;
+  expect_refused(
+      recover_instant_segments(ckpt_path_, log_dir_, recovered, redo),
+      ckpt_path_, recovered);
+}
+
+TEST_F(SegmentedRecoveryTest, CorruptCheckpointOverATruncatedLogFailsRecovery) {
+  // 40 commits to 40 objects, a chain at seq 30 and the log truncated to
+  // it: the log alone holds only what committed after the chain, so a
+  // replay from empty would restore a fraction of the store.
+  SegmentedLogStorage::Options opt;
+  opt.segment_bytes = 256;
+  auto log = SegmentedLogStorage::open(log_dir_, opt);
+  ASSERT_TRUE(log.is_ok());
+  storage::ObjectStore state(64);
+  for (ValidationTs seq = 1; seq <= 40; ++seq) {
+    const ObjectId oid = seq;
+    log.value()->append(Record::write_image(seq, oid, counter_val(seq)));
+    log.value()->append(Record::commit(seq, seq, seq * 1000, 1));
+    log.value()->flush([](Status s) { ASSERT_TRUE(s) << s.to_string(); });
+    if (seq <= 30) state.upsert(oid, counter_val(seq), seq);
+  }
+  const std::string base = checkpoint(state, 30);
+  EXPECT_GT(log.value()->truncate_upto(30), 0u);
+  log.value().reset();
+  flip_byte(base);
+  storage::ObjectStore recovered(64);
+  recovered.upsert(999, counter_val(1), 0);
+  expect_refused(
+      recover_checkpoint_and_segments(ckpt_path_, log_dir_, recovered),
+      ckpt_path_, recovered);
 }
 
 TEST_F(SegmentedRecoveryTest, LeftoverSingleFileCheckpointIsRefused) {

@@ -36,9 +36,7 @@ void fill(ObjectStore& store, BPlusTree& index, std::size_t n, Rng& rng) {
 
 std::vector<std::byte> live_chain(const ObjectStore& store,
                                   const BPlusTree* index, ValidationTs at) {
-  ByteWriter w;
-  encode_live_chain(store, index, at, w);
-  return w.take();
+  return encode_live_chain(store, index, at);
 }
 
 void flip_byte(const std::string& file, long offset) {

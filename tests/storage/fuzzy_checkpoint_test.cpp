@@ -16,6 +16,7 @@
 
 #include "rodain/common/rng.hpp"
 #include "rodain/storage/ckpt_manifest.hpp"
+#include "rodain/workload/number_translation.hpp"
 
 namespace rodain::storage {
 namespace {
@@ -443,6 +444,32 @@ TEST_F(FuzzyCheckpointTest, ChainBytesServeJoinsWithCoveredBoundary) {
   ASSERT_TRUE(meta.is_ok()) << meta.status().to_string();
   EXPECT_EQ(meta.value().last_applied, 20u);
   EXPECT_EQ(dst.size(), 2u);
+}
+
+
+TEST(ChainEncodeReserve, CoversABaseAndALiveChainWithoutWaste) {
+  // The number-translation database at two profile sizes: values that fit
+  // inline and values that live on the heap.
+  for (const std::size_t profile : {32u, 200u}) {
+    workload::DatabaseConfig db;
+    db.num_objects = 3000;
+    db.profile_bytes = profile;
+    ObjectStore store(db.num_objects);
+    BPlusTree index;
+    workload::load_database(db, store, index);
+    const std::size_t reserve = chain_encode_reserve(store, &index);
+
+    store.snapshot_begin();
+    ByteWriter w;
+    const auto base = encode_fuzzy_base(store, index, 7, w);
+    store.snapshot_end();
+    const std::size_t live = encode_live_chain(store, &index, 7).size();
+    for (const std::size_t bytes : {base.bytes, live}) {
+      EXPECT_GE(reserve, bytes) << "profile " << profile;
+      EXPECT_LE(static_cast<double>(reserve), 1.25 * static_cast<double>(bytes))
+          << "profile " << profile;
+    }
+  }
 }
 
 }  // namespace
