@@ -11,10 +11,16 @@ void note_object(std::unordered_map<TxnId, std::vector<ObjectId>>& map,
   auto& v = map[txn];
   if (std::find(v.begin(), v.end(), oid) == v.end()) v.push_back(oid);
 }
+
+/// Waiters queue in priority order, the highest first.
+constexpr auto by_priority = [](const auto& a, const auto& b) {
+  return a.prio.higher_than(b.prio);
+};
 }  // namespace
 
 LockManager::AcquireResult LockManager::acquire(ObjectId oid, TxnId txn,
-                                                LockMode mode, PriorityKey prio) {
+                                                LockMode mode,
+                                                PriorityKey prio) {
   AcquireResult result;
   Entry& e = table_[oid];
 
@@ -42,8 +48,7 @@ LockManager::AcquireResult LockManager::acquire(ObjectId oid, TxnId txn,
     }
     result.decision = Access::kBlocked;
     e.waiters.push_back(Waiter{txn, LockMode::kExclusive, prio});
-    std::sort(e.waiters.begin(), e.waiters.end(),
-              [](const Waiter& a, const Waiter& b) { return a.prio.higher_than(b.prio); });
+    std::sort(e.waiters.begin(), e.waiters.end(), by_priority);
     return result;
   }
 
@@ -88,8 +93,7 @@ LockManager::AcquireResult LockManager::acquire(ObjectId oid, TxnId txn,
 
   result.decision = Access::kBlocked;
   e.waiters.push_back(Waiter{txn, mode, prio});
-  std::sort(e.waiters.begin(), e.waiters.end(),
-            [](const Waiter& a, const Waiter& b) { return a.prio.higher_than(b.prio); });
+  std::sort(e.waiters.begin(), e.waiters.end(), by_priority);
   note_object(txn_objects_, txn, oid);
   return result;
 }
@@ -111,8 +115,10 @@ LockManager::ReleaseResult LockManager::release_all(TxnId txn) {
       auto te = table_.find(oid);
       if (te == table_.end()) continue;
       Entry& e = te->second;
-      std::erase_if(e.holders, [&](const Holder& h) { return h.txn == current; });
-      std::erase_if(e.waiters, [&](const Waiter& w) { return w.txn == current; });
+      std::erase_if(e.holders,
+                    [&](const Holder& h) { return h.txn == current; });
+      std::erase_if(e.waiters,
+                    [&](const Waiter& w) { return w.txn == current; });
       std::vector<TxnId> victims;
       promote_waiters(oid, e, result.woken, victims);
       for (TxnId v : victims) {
@@ -173,18 +179,6 @@ bool LockManager::holds(ObjectId oid, TxnId txn) const {
   if (it == table_.end()) return false;
   return std::any_of(it->second.holders.begin(), it->second.holders.end(),
                      [&](const Holder& h) { return h.txn == txn; });
-}
-
-void LockManager::for_each_lock(
-    const std::function<void(ObjectId, std::span<const TxnId>,
-                             std::span<const TxnId>)>& fn) const {
-  for (const auto& [oid, e] : table_) {
-    std::vector<TxnId> holders;
-    std::vector<TxnId> waiters;
-    for (const Holder& h : e.holders) holders.push_back(h.txn);
-    for (const Waiter& w : e.waiters) waiters.push_back(w.txn);
-    fn(oid, holders, waiters);
-  }
 }
 
 std::size_t LockManager::waiting_requests() const {

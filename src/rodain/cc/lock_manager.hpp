@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +27,8 @@ class LockManager {
 
   /// Request `mode` on `oid`. Re-entrant: a holder asking again (including
   /// shared->exclusive upgrade) is handled in place.
-  AcquireResult acquire(ObjectId oid, TxnId txn, LockMode mode, PriorityKey prio);
+  AcquireResult acquire(ObjectId oid, TxnId txn, LockMode mode,
+                        PriorityKey prio);
 
   struct ReleaseResult {
     std::vector<TxnId> woken;    ///< queued requests that became grantable
@@ -46,12 +45,6 @@ class LockManager {
   [[nodiscard]] bool holds(ObjectId oid, TxnId txn) const;
   [[nodiscard]] std::size_t locked_objects() const { return table_.size(); }
   [[nodiscard]] std::size_t waiting_requests() const;
-
-  /// Inspect the table (tests, deadlock diagnostics): visits every object
-  /// with its holder and waiter transaction ids.
-  void for_each_lock(
-      const std::function<void(ObjectId, std::span<const TxnId> holders,
-                               std::span<const TxnId> waiters)>& fn) const;
 
  private:
   struct Holder {

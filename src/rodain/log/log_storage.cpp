@@ -186,7 +186,6 @@ void SimDiskLogStorage::start_next() {
   const auto transfer_us = static_cast<std::int64_t>(
       static_cast<double>(req.bytes) / options_.throughput_bytes_per_sec * 1e6);
   const Duration op_time = options_.seek_time + Duration::micros(transfer_us);
-  busy_ += op_time;
   sim_.schedule_after(op_time, [this] {
     FlushReq req2 = std::move(queue_.front());
     queue_.pop_front();

@@ -73,8 +73,8 @@ class MemoryLogStorage final : public LogStorage {
 class FileLogStorage final : public LogStorage {
  public:
   /// Opens (creates or appends to) `path`.
-  static Result<std::unique_ptr<FileLogStorage>> open(const std::string& path,
-                                                      bool fsync_on_flush = false);
+  static Result<std::unique_ptr<FileLogStorage>> open(
+      const std::string& path, bool fsync_on_flush = false);
   ~FileLogStorage() override;
 
   void append(const Record& r) override;
@@ -132,10 +132,8 @@ class SimDiskLogStorage final : public LogStorage {
   std::uint64_t truncate_upto(ValidationTs boundary) override;
 
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-  [[nodiscard]] std::size_t queued_flushes() const { return queue_.size(); }
   /// Records appended but not yet durable — the data-loss window of claim C5.
   [[nodiscard]] Lsn backlog() const { return appended_ - durable_; }
-  [[nodiscard]] Duration total_busy() const { return busy_; }
   /// The host crashed: queued flush operations still reach the platter,
   /// but their completions are dropped — the process waiting for them is
   /// gone, and its callbacks point into it.
@@ -160,7 +158,6 @@ class SimDiskLogStorage final : public LogStorage {
   std::size_t unflushed_bytes_{0};
   std::deque<FlushReq> queue_;
   bool device_busy_{false};
-  Duration busy_{Duration::zero()};
   Lsn truncated_{0};
 };
 

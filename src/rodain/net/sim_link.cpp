@@ -46,12 +46,9 @@ void SimLink::transmit(int from, std::vector<std::byte> frame) {
     delay += (free_at - sim_.now());
   }
   const std::uint64_t gen = generation_;
-  const std::size_t bytes = frame.size();
-  sim_.schedule_after(delay, [this, to, gen, bytes,
-                              f = std::move(frame)]() mutable {
+  sim_.schedule_after(delay, [this, to, gen, f = std::move(frame)]() mutable {
     if (gen != generation_ || !up_) return;  // dropped with the old link
     ++delivered_;
-    bytes_ += bytes;
     auto& handler = ends_[static_cast<std::size_t>(to)].handler_;
     if (handler) handler(std::move(f));
   });

@@ -45,7 +45,6 @@ class SimLink {
 
   [[nodiscard]] bool up() const { return up_; }
   [[nodiscard]] std::uint64_t frames_delivered() const { return delivered_; }
-  [[nodiscard]] std::uint64_t bytes_delivered() const { return bytes_; }
 
  private:
   class End final : public Channel {
@@ -81,7 +80,6 @@ class SimLink {
   /// Per-direction time the channel becomes free (serialization delay).
   std::array<TimePoint, 2> tx_free_{};
   std::uint64_t delivered_{0};
-  std::uint64_t bytes_{0};
 };
 
 }  // namespace rodain::net

@@ -27,7 +27,6 @@ class TimeSeries {
   void set(std::string_view name, double value) { set(column(name), value); }
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-  [[nodiscard]] std::size_t column_count() const { return columns_.size(); }
   [[nodiscard]] const std::vector<std::string>& columns() const {
     return columns_;
   }

@@ -29,7 +29,8 @@ class SimCpu {
   /// Enqueue a CPU burst of `cost`; `on_complete` fires (at virtual time)
   /// when the burst has received `cost` of CPU. Preempts the running job if
   /// `key` has higher priority.
-  JobId submit(PriorityKey key, Duration cost, std::function<void()> on_complete);
+  JobId submit(PriorityKey key, Duration cost,
+               std::function<void()> on_complete);
 
   /// Remove a queued or running job (e.g. its transaction was aborted).
   /// Returns false if it already completed or is unknown.
@@ -38,7 +39,6 @@ class SimCpu {
   /// Raise (or change) the priority of a queued job; may trigger preemption.
   bool reprioritize(JobId id, PriorityKey key);
 
-  [[nodiscard]] std::size_t queued_jobs() const { return ready_.size(); }
   [[nodiscard]] bool busy() const { return running_.has_value(); }
   /// Total CPU time consumed by completed or cancelled work so far.
   [[nodiscard]] Duration busy_time() const;

@@ -119,9 +119,12 @@ class Transaction {
   void advance_pc() { ++pc_; }
   [[nodiscard]] bool program_done() const { return pc_ >= program_.ops.size(); }
 
-  [[nodiscard]] const std::vector<ReadEntry>& read_set() const { return read_set_; }
-  [[nodiscard]] const std::vector<WriteEntry>& write_set() const { return write_set_; }
-  [[nodiscard]] std::vector<WriteEntry>& mutable_write_set() { return write_set_; }
+  [[nodiscard]] const std::vector<ReadEntry>& read_set() const {
+    return read_set_;
+  }
+  [[nodiscard]] const std::vector<WriteEntry>& write_set() const {
+    return write_set_;
+  }
 
   [[nodiscard]] bool in_read_set(ObjectId oid) const;
   [[nodiscard]] bool in_write_set(ObjectId oid) const;
